@@ -112,14 +112,16 @@ func BenchmarkCalibrate(b *testing.B) {
 	}
 }
 
-// BenchmarkReflectionSynthesis times the physics layer alone.
+// BenchmarkReflectionSynthesis times the physics layer alone, on the path
+// itdr.MeasureInto takes: ReflectInto on one reused scratch.
 func BenchmarkReflectionSynthesis(b *testing.B) {
 	line := txline.New("L", txline.DefaultConfig(), rng.New(2))
 	probe := txline.DefaultProbe()
+	var scratch txline.ReflectScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := line.Reflect(probe, 0, 1, 89.6e9, 343)
+		w := line.ReflectInto(&scratch, probe, 0, 1, 89.6e9, 343)
 		if w.Len() == 0 {
 			b.Fatal("empty waveform")
 		}

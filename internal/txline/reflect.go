@@ -47,7 +47,36 @@ type ReflectScratch struct {
 	events []reflectEvent
 	hi     []int
 	out    *signal.Waveform
+	att    attenuation
 }
+
+// attenuation caches the round-trip loss exp(-2αd) to every segment
+// boundary. It depends only on the line's loss, segment length and segment
+// count, which every line of a fleet usually shares, so one scratch
+// recomputes it only when those change.
+type attenuation struct {
+	loss, seg float64
+	f         []float64 // f[i] is the loss to boundary i+1, d = (i+1)·seg
+}
+
+// of returns the cached factors for cfg and n segments, rebuilding them if
+// the key changed.
+func (a *attenuation) of(cfg Config, n int) []float64 {
+	if len(a.f) == n-1 && a.loss == cfg.LossDBPerMeter && a.seg == cfg.SegmentLength {
+		return a.f
+	}
+	alpha := cfg.lossNepers()
+	f := a.f[:0]
+	for i := 0; i < n-1; i++ {
+		d := float64(i+1) * cfg.SegmentLength
+		f = append(f, math.Exp(-2*alpha*d))
+	}
+	*a = attenuation{loss: cfg.LossDBPerMeter, seg: cfg.SegmentLength, f: f}
+	return f
+}
+
+// lossNepers returns the one-way line loss in nepers per meter.
+func (c Config) lossNepers() float64 { return c.LossDBPerMeter * math.Ln10 / 20 }
 
 // ReflectInto is Reflect with every buffer recycled from s (nil s behaves
 // like Reflect). The returned waveform aliases s.out and is valid until the
@@ -63,7 +92,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	z, term := l.effectiveProfileInto(s.z[:0], deltaT)
 	s.z = z
 	segDt := 2 * l.cfg.SegmentLength / l.cfg.Velocity // round trip per segment
-	alpha := l.cfg.LossDBPerMeter * math.Ln10 / 20    // nepers per meter, one way
+	alpha := l.cfg.lossNepers()
 
 	type event = reflectEvent
 	events := s.events[:0]
@@ -73,14 +102,13 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// Launch interface (source impedance to first segment) is excluded: the
 	// iTDR couples after the driver, so this static offset carries no IIP
 	// information and is removed during calibration anyway.
+	att := s.att.of(l.cfg, len(z))
 	for i := 0; i < len(z)-1; i++ {
 		g := (z[i+1] - z[i]) / (z[i+1] + z[i])
 		if g == 0 {
 			continue
 		}
-		d := float64(i+1) * l.cfg.SegmentLength
-		att := math.Exp(-2 * alpha * d)
-		events = append(events, event{t: float64(i+1) * segDt, a: g * att})
+		events = append(events, event{t: float64(i+1) * segDt, a: g * att[i]})
 	}
 	// Termination reflection.
 	zLast := z[len(z)-1]
@@ -100,10 +128,10 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	s.out = signal.Reuse(s.out, rate, n)
 	out := s.out
 	sigma := p.RiseTime / 2.563
-	// Each reflection is the incident erf edge delayed to the event time.
-	// Evaluate the edge only within ±5σ of its transition and hold 0/full
-	// outside — exact to 3e-7 and ~50x faster than evaluating erf everywhere.
-	window := 5 * sigma
+	// Each reflection is the incident erf edge delayed to the event time,
+	// evaluated only within its window (addWindow) and held at 0 or full
+	// step outside.
+	window := edgeWindow * sigma
 
 	// Post-window samples see the full step of every earlier event, so the
 	// naive superposition re-adds each event's amplitude over an O(n) tail —
@@ -151,20 +179,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 		// for any sample every tail contribution comes from an earlier event
 		// than every window contribution.
 		for _, ev := range events {
-			tEv := ev.t * stretch
-			amp := p.Amplitude * ev.a
-			loIdx := int((tEv - window) * rate)
-			hiIdx := int((tEv+window)*rate) + 1
-			if loIdx < 0 {
-				loIdx = 0
-			}
-			if hiIdx > n {
-				hiIdx = n
-			}
-			for i := loIdx; i < hiIdx; i++ {
-				t := float64(i)/rate - tEv
-				out.Samples[i] += amp * 0.5 * (1 + math.Erf(t/(sigma*math.Sqrt2)))
-			}
+			addWindow(out.Samples, ev.t*stretch, p.Amplitude*ev.a, sigma, rate)
 		}
 		return out
 	}
@@ -172,26 +187,41 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// Fallback for non-monotone arrival times (negative stretch or a
 	// pathological profile): the original combined superposition.
 	for _, ev := range events {
-		tEv := ev.t * stretch
 		amp := p.Amplitude * ev.a
-		loIdx := int((tEv - window) * rate)
-		hiIdx := int((tEv+window)*rate) + 1
-		if loIdx < 0 {
-			loIdx = 0
-		}
-		if hiIdx > n {
-			hiIdx = n
-		}
-		for i := loIdx; i < hiIdx; i++ {
-			t := float64(i)/rate - tEv
-			out.Samples[i] += amp * 0.5 * (1 + math.Erf(t/(sigma*math.Sqrt2)))
-		}
+		hiIdx := addWindow(out.Samples, ev.t*stretch, amp, sigma, rate)
 		// Samples after the window see the full step.
 		for i := hiIdx; i < n; i++ {
 			out.Samples[i] += amp
 		}
 	}
 	return out
+}
+
+// edgeWindow is the half-width, in σ, of the span over which a reflection's
+// edge is evaluated; outside it the edge is held at 0 or its full step.
+// That is exact to 3e-7 and ~50x cheaper than evaluating the edge at every
+// sample. Inside the window the edge comes from the shared table in edge.go,
+// within 2e-13 of 1+erf.
+const edgeWindow = 5
+
+// addWindow adds one reflection's edge transition, arriving at tEv with
+// amplitude amp, to the samples of out within ±edgeWindow·σ of tEv, and
+// returns the end of that window: samples from there on see the full step.
+func addWindow(out []float64, tEv, amp, sigma, rate float64) (hiIdx int) {
+	window := edgeWindow * sigma
+	loIdx := int((tEv - window) * rate)
+	hiIdx = int((tEv+window)*rate) + 1
+	if loIdx < 0 {
+		loIdx = 0
+	}
+	if hiIdx > len(out) {
+		hiIdx = len(out)
+	}
+	if loIdx < hiIdx {
+		x0 := (float64(loIdx)/rate - tEv) / (sigma * math.Sqrt2)
+		addEdge(out[loIdx:hiIdx], amp*0.5, x0, 1/(rate*sigma*math.Sqrt2))
+	}
+	return hiIdx
 }
 
 // TotalReflectionEnergyBound returns the sum of absolute reflection
