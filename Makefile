@@ -12,6 +12,13 @@ MONITOR_ALLOC_BUDGET ?= 64
 # per-capture ≤4 budget is enforced by TestCalibrateAllocationBudget).
 CALIB_ALLOC_BUDGET ?= 64
 
+# REFLECT_ALLOC_BUDGET and MEASURE_ALLOC_BUDGET are the allocs/op ceilings
+# for the line-response synthesis alone (ReflectInto on a reused scratch
+# allocates nothing) and for one allocating Measure (the detached IIP,
+# its samples and the Saturated copy).
+REFLECT_ALLOC_BUDGET ?= 0
+MEASURE_ALLOC_BUDGET ?= 3
+
 # BENCH_MAX_REGRESS is the percentage any guarded benchmark's ns/B/allocs
 # may grow over the recorded BENCH_$(PR).json snapshot before bench-guard
 # fails. Generous because shared CI runners show up to ~1.6× wall-clock
@@ -46,13 +53,16 @@ bench:
 
 ## bench-guard: fail if a hot path leaks allocation back in or regresses
 ## past the recorded snapshot — benchsnap -max-allocs checks the monitoring
-## round and warm re-calibration against their budgets, and -compare diffs
-## both against BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling
+## round, warm re-calibration, line-response synthesis and one IIP
+## measurement against their budgets, and -compare diffs all four against
+## BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling
 bench-guard:
-	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$' -benchtime 20x -benchmem \
+	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$|ReflectionSynthesis$$|IIPMeasurement$$' -benchtime 20x -benchmem \
 		| $(GO) run ./cmd/benchsnap \
 			-max-allocs 'MonitorRound=$(MONITOR_ALLOC_BUDGET)' \
 			-max-allocs 'Calibrate=$(CALIB_ALLOC_BUDGET)' \
+			-max-allocs 'ReflectionSynthesis=$(REFLECT_ALLOC_BUDGET)' \
+			-max-allocs 'IIPMeasurement=$(MEASURE_ALLOC_BUDGET)' \
 			-compare BENCH_$(PR).json -max-regress $(BENCH_MAX_REGRESS) > /dev/null
 
 ## bench-snapshot: record the hot-path micro-benchmarks plus the full

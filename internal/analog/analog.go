@@ -80,11 +80,11 @@ func (c *Comparator) Sample(vsig, vref float64) bool {
 
 // SampleWith is Sample drawing its noise from an explicit stream instead of
 // the comparator's own. The parallel measurement engine hands each ETS phase
-// bin its own labelled child stream through here, so concurrent bins never
-// contend on (or reorder) a shared noise sequence — the property that makes
-// measurements bit-identical at any parallelism. NoiseSigma and Offset are
-// still the comparator's, so offset drift injected between measurements is
-// honoured.
+// bin its own labelled child stream (through SampleDistorted, which decides
+// identically when undistorted), so concurrent bins never contend on (or
+// reorder) a shared noise sequence — the property that makes measurements
+// bit-identical at any parallelism. NoiseSigma and Offset are still the
+// comparator's, so offset drift injected between measurements is honoured.
 func (c *Comparator) SampleWith(noise *rng.Stream, vsig, vref float64) bool {
 	n := noise.Gaussian(0, c.NoiseSigma)
 	return vsig+c.Offset+n > vref
@@ -93,8 +93,9 @@ func (c *Comparator) SampleWith(noise *rng.Stream, vsig, vref float64) bool {
 // SampleDistorted is SampleWith for a comparator suffering transient
 // degradation: extraOffset volts of additional input offset and a noise sigma
 // scaled by noiseScale, neither of which the calibrated inverse map knows
-// about. The fault-injection layer routes distorted trials through here so the
-// healthy path keeps its exact draw sequence.
+// about. With extraOffset 0 and noiseScale 1 it draws the same noise and
+// reaches the same decision as SampleWith, so the instrument's trial loop
+// runs healthy and distorted trials through this one call.
 func (c *Comparator) SampleDistorted(noise *rng.Stream, vsig, vref, extraOffset, noiseScale float64) bool {
 	n := noise.Gaussian(0, c.NoiseSigma*noiseScale)
 	return vsig+c.Offset+extraOffset+n > vref

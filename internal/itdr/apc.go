@@ -101,9 +101,14 @@ const inverterTableSize = 256
 // promotion itself must be single-goroutine (the measurement engine
 // guarantees this by owning each bin's slot on exactly one worker).
 type Inverter struct {
-	cdf   *stats.CompositeCDF
-	table *stats.InverseTable // nil until Promote
-	refs  []float64           // the (unsorted) reference set this was built for
+	cdf *stats.CompositeCDF
+	// promoted, nil until Promote, is the fleet-shared tabulation: the
+	// inverse table and the estimate of every count. It is one pointer, not
+	// a table pointer plus a count slice, because every instrument holds an
+	// Inverter per bin: one more slice header per Inverter is ~2 MB of live
+	// heap in a 128-bus daemon (343 bins × 256 instruments × 24 B).
+	promoted *tableCacheEntry
+	refs     []float64 // the (unsorted) reference set this was built for
 
 	// memo, when non-nil, caches un-promoted bisections fleet-wide (set by
 	// the warmup-backed reset; see bisectMemo). It never changes a result:
@@ -165,52 +170,87 @@ func (iv *Inverter) Matches(refs []float64) bool {
 }
 
 // Promoted reports whether the composite CDF has been tabulated.
-func (iv *Inverter) Promoted() bool { return iv.table != nil }
+func (iv *Inverter) Promoted() bool { return iv.promoted != nil }
 
 // Promote tabulates the composite CDF so subsequent Estimate calls invert by
-// interpolation instead of bisection. Idempotent. The table itself comes
-// from a process-wide cache keyed by the CDF's parameters: every instrument
-// of the same configuration probes a given ETS bin with the same Vernier
-// reference sequence, so a 1000-link fleet shares one ~4 KB table per bin
-// instead of holding a thousand bitwise-identical copies.
+// interpolation instead of bisection, and EstimateCount by one lookup.
+// Idempotent. Both tables come from a process-wide cache keyed by the CDF's
+// parameters: every instrument of the same configuration probes a given ETS
+// bin with the same Vernier reference sequence, so a 1000-link fleet shares
+// one ~4 KB table per bin instead of holding a thousand bitwise-identical
+// copies.
 func (iv *Inverter) Promote() {
-	if iv.table == nil {
-		iv.table = sharedInverseTable(iv.cdf)
+	if iv.promoted == nil {
+		iv.promoted = sharedInverseTable(iv.cdf)
 	}
 }
 
 // tableCache shares promoted inverse tables across instruments. Tabulation
 // is a pure function of the CDF parameters, so sharing cannot change any
 // estimate; a fingerprint collision (different parameters, same key) falls
-// back to a private table rather than evicting the first owner. The cache
+// back to private tables rather than evicting the first owner. The cache
 // grows with the set of distinct instrument configurations seen by the
-// process — bounded in practice, and each entry is a few KB.
+// process — bounded in practice: at the default geometry an entry is a 2 KB
+// inverse table plus 208 B of count estimates, one entry per ETS bin, so a
+// homogeneous fleet holds ~71 KB of count estimates in all.
 var tableCache sync.Map // uint64 → *tableCacheEntry
 
+// tableKey keys tableCache. Tests replace it to force fingerprint
+// collisions.
+var tableKey = (*stats.CompositeCDF).Fingerprint
+
+// tableCacheEntry is one CDF's promoted tables. byCount[k] is the estimate
+// for k ones out of T trials, T being the CDF's component count: the
+// instrument takes one trial per reference level.
 type tableCacheEntry struct {
-	cdf   *stats.CompositeCDF
-	table *stats.InverseTable
+	cdf     *stats.CompositeCDF
+	table   *stats.InverseTable
+	byCount []float64
 }
 
-func sharedInverseTable(cdf *stats.CompositeCDF) *stats.InverseTable {
-	key := cdf.Fingerprint()
-	if e, ok := tableCache.Load(key); ok {
-		ent := e.(*tableCacheEntry)
-		if ent.cdf.Equal(cdf) {
-			return ent.table
-		}
-		return cdf.InverseTable(inverterTableSize)
+// newTableCacheEntry tabulates cdf's inverse and the estimate of every count.
+func newTableCacheEntry(cdf *stats.CompositeCDF) *tableCacheEntry {
+	ent := &tableCacheEntry{cdf: cdf, table: cdf.InverseTable(inverterTableSize)}
+	trials := cdf.Len()
+	ent.byCount = make([]float64, trials+1)
+	for k := range ent.byCount {
+		ent.byCount[k] = ent.table.Invert(clampFraction(float64(k)/float64(trials), trials))
 	}
-	t := cdf.InverseTable(inverterTableSize)
-	if e, loaded := tableCache.LoadOrStore(key, &tableCacheEntry{cdf: cdf, table: t}); loaded {
+	return ent
+}
+
+func sharedInverseTable(cdf *stats.CompositeCDF) *tableCacheEntry {
+	key := tableKey(cdf)
+	if e, ok := tableCache.Load(key); ok {
+		if ent := e.(*tableCacheEntry); ent.cdf.Equal(cdf) {
+			return ent
+		}
+		return newTableCacheEntry(cdf)
+	}
+	fresh := newTableCacheEntry(cdf)
+	if e, loaded := tableCache.LoadOrStore(key, fresh); loaded {
 		// Another goroutine published first; use its entry when it truly
 		// matches (the tables are bitwise-identical either way).
-		ent := e.(*tableCacheEntry)
-		if ent.cdf.Equal(cdf) {
-			return ent.table
+		if ent := e.(*tableCacheEntry); ent.cdf.Equal(cdf) {
+			return ent
 		}
 	}
-	return t
+	return fresh
+}
+
+// clampFraction clamps a measured ones-fraction half a count inside (0, 1):
+// a count of 0 or trials carries only one-sided information, and the clamp
+// keeps the inverse finite.
+func clampFraction(onesFraction float64, trials int) float64 {
+	eps := 0.5 / float64(trials)
+	p := onesFraction
+	if p < eps {
+		p = eps
+	}
+	if p > 1-eps {
+		p = 1 - eps
+	}
+	return p
 }
 
 // Estimate inverts the composite CDF: given a measured ones-fraction over
@@ -221,23 +261,25 @@ func (iv *Inverter) Estimate(onesFraction float64, trials int) float64 {
 	if trials <= 0 {
 		panic(fmt.Sprintf("itdr: non-positive trial count %d", trials))
 	}
-	// A count of 0 or trials carries only one-sided information; clamp the
-	// fraction half a count inside so the inverse stays finite.
-	eps := 0.5 / float64(trials)
-	p := onesFraction
-	if p < eps {
-		p = eps
-	}
-	if p > 1-eps {
-		p = 1 - eps
-	}
-	if iv.table != nil {
-		return iv.table.Invert(p)
+	p := clampFraction(onesFraction, trials)
+	if iv.promoted != nil {
+		return iv.promoted.table.Invert(p)
 	}
 	if iv.memo != nil {
 		return iv.memo.invert(iv.cdf, p)
 	}
 	return iv.cdf.Invert(p)
+}
+
+// EstimateCount is Estimate(ones/T, T) for T = len(refs), one trial per
+// reference level as the instrument takes them; ones must lie in [0, T].
+// Once promoted it is a single lookup, bit-identical to Estimate.
+func (iv *Inverter) EstimateCount(ones int) float64 {
+	if iv.promoted != nil {
+		return iv.promoted.byCount[ones]
+	}
+	trials := len(iv.refs)
+	return iv.Estimate(float64(ones)/float64(trials), trials)
 }
 
 // EstimateVoltage is the one-shot form of the inverse map, for callers that

@@ -1,9 +1,11 @@
 package itdr
 
 import (
+	"math"
 	"testing"
 
 	"divot/internal/rng"
+	"divot/internal/stats"
 	"divot/internal/txline"
 )
 
@@ -92,17 +94,96 @@ func TestSharedInverseTableReuse(t *testing.T) {
 	b := apc.NewInverter(refs)
 	a.Promote()
 	b.Promote()
-	if a.table != b.table {
+	if a.promoted != b.promoted {
 		t.Fatal("identically configured inverters did not share a promoted table")
 	}
 	other := NewAPC(cfg.ComparatorNoise*2, cfg.ComparatorOffset).NewInverter(refs)
 	other.Promote()
-	if other.table == a.table {
+	if other.promoted.table == a.promoted.table {
 		t.Fatal("differently configured inverters share a table")
 	}
 	for _, p := range []float64{0.1, 0.5, 0.9} {
 		if a.Estimate(p, 25) != b.Estimate(p, 25) {
 			t.Fatalf("shared-table estimates diverge at p=%v", p)
+		}
+	}
+}
+
+// TestSharedInverseTableCollision forces a fingerprint collision through
+// tableKey. The first CDF keeps the cache entry; a different CDF under the
+// same key gets a private inverse table and a private count table, so a
+// count table never attaches to an entry whose CDF differs.
+func TestSharedInverseTableCollision(t *testing.T) {
+	const key = uint64(0x5eedc0111de00001)
+	saved := tableKey
+	tableKey = func(*stats.CompositeCDF) uint64 { return key }
+	defer func() {
+		tableKey = saved
+		tableCache.Delete(key)
+	}()
+	cfg := DefaultConfig()
+	refs := []float64{-0.004, -0.002, 0, 0.002, 0.004}
+	owner := NewAPC(cfg.ComparatorNoise, cfg.ComparatorOffset).NewInverter(refs)
+	owner.Promote()
+	other := NewAPC(cfg.ComparatorNoise*2, cfg.ComparatorOffset).NewInverter(refs)
+	other.Promote()
+	twin := NewAPC(cfg.ComparatorNoise, cfg.ComparatorOffset).NewInverter(refs)
+	twin.Promote()
+
+	e, ok := tableCache.Load(key)
+	if !ok {
+		t.Fatal("no cache entry under the forced key")
+	}
+	ent := e.(*tableCacheEntry)
+	if ent.cdf != owner.cdf || ent != owner.promoted {
+		t.Fatal("the first CDF does not own the cache entry")
+	}
+	if twin.promoted != owner.promoted {
+		t.Error("an equal CDF did not share the owner's tables")
+	}
+	mine, theirs := other.promoted, owner.promoted
+	if mine == theirs || mine.table == theirs.table || &mine.byCount[0] == &theirs.byCount[0] {
+		t.Fatal("a colliding CDF attached to the owner's tables")
+	}
+	if mine.cdf != other.cdf {
+		t.Fatal("the colliding CDF's private tables name another CDF")
+	}
+	private := newTableCacheEntry(other.cdf)
+	differs := false
+	for k := range mine.byCount {
+		if mine.byCount[k] != private.byCount[k] {
+			t.Fatalf("count %d: colliding CDF's estimate %v, want its own %v", k, mine.byCount[k], private.byCount[k])
+		}
+		differs = differs || mine.byCount[k] != theirs.byCount[k]
+	}
+	if !differs {
+		t.Fatal("the two CDFs' count tables are identical; the collision proves nothing")
+	}
+}
+
+// TestEstimateCountMatchesEstimate checks the count-indexed inverse against
+// Estimate(k/T, T) for every count k, on a plain inverter, on one backed by
+// the shared warmup's bisection memo, and on both once promoted.
+func TestEstimateCountMatchesEstimate(t *testing.T) {
+	cfg := DefaultConfig()
+	apc := NewAPC(cfg.ComparatorNoise, cfg.ComparatorOffset)
+	wu := warmupFor(cfg, txline.DefaultProbe())
+	const m = 120
+	memo := &Inverter{}
+	apc.resetInverter(memo, wu.refs[m], &wu.bins[m])
+	plain := apc.NewInverter(wu.refs[m])
+	trials := cfg.TrialsPerBin
+	for _, promote := range []bool{false, true} {
+		for name, iv := range map[string]*Inverter{"plain": plain, "memo": memo} {
+			if promote {
+				iv.Promote()
+			}
+			for k := 0; k <= trials; k++ {
+				got, want := iv.EstimateCount(k), iv.Estimate(float64(k)/float64(trials), trials)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s promoted=%t: EstimateCount(%d) = %v, Estimate = %v", name, promote, k, got, want)
+				}
+			}
 		}
 	}
 }

@@ -82,9 +82,12 @@ type Reflectometer struct {
 
 // New builds a reflectometer. The stream seeds both the comparator noise and
 // per-measurement environment sampling; modulator may be nil to use the
-// config's RC quasi-triangle.
+// config's RC quasi-triangle. The config and the probe must both validate.
 func New(cfg Config, probe txline.Probe, mod analog.Modulator, stream *rng.Stream) (*Reflectometer, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := probe.Validate(); err != nil {
 		return nil, err
 	}
 	// A non-coprime modulation ratio is permitted — the Vernier sweep
@@ -369,33 +372,60 @@ func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
 	if c.faulted && c.mf.Bin != nil {
 		bf = c.mf.Bin(m)
 	}
+
+	// Everything the trial loop branches on is fixed for the bin, so it is
+	// resolved here once; the loop body is then a jitter draw, the
+	// interpolation of seen, a noise draw and one compare. Each path's draw
+	// sequence and float expression order is pinned bit for bit by
+	// TestGoldenIIPDigests.
+	//
+	// Trigger search: clock triggering advances one cycle per trial. Data
+	// triggering draws cycles until one carries a usable launch edge; under
+	// TriggerNone the edge direction is uncontrolled too — half the launches
+	// fall, and a falling edge's reflection is the rising one's negative.
+	advance, search, flip, fire := 0, false, false, 0.0
+	switch cfg.Trigger {
+	case TriggerClock:
+		advance = 1
+	case TriggerFIFO:
+		search, fire = true, cfg.TriggerDensity
+	case TriggerNone:
+		search, flip, fire = true, true, 2*cfg.TriggerDensity
+	}
+	// A PLL phase-step fault shifts every sampling instant of the bin.
+	tNominal := tBin
+	if c.faulted {
+		tNominal += c.mf.PhaseOffset
+	}
+	// Comparator: a dead acquisition slice never fires and a stuck output
+	// sits at its rail, neither drawing noise — in hardware the counter
+	// simply sees no pulses, or only pulses. Otherwise each trial is one
+	// noisy compare; the healthy comparator is the distorted one with no
+	// extra offset and unit noise scale, bitwise the same decision.
+	decide := !bf.Dead && !(c.faulted && c.mf.Stuck != StuckNone)
+	railHigh := !bf.Dead && c.faulted && c.mf.Stuck == StuckHigh
+	extraOffset, noiseScale := 0.0, 1.0
+	if c.distorted {
+		extraOffset, noiseScale = c.mf.ExtraOffset, c.mf.noiseScale()
+	}
+	emiAmp := c.cond.EMIAmplitude
+	jitterRMS := c.jitterRMS
+
 	ones := 0
 	cycleBase := m * c.binStride
 	cycle := 0
 	for j := 0; j < cfg.TrialsPerBin; j++ {
 		// Advance to the bin's next cycle carrying a usable launch edge.
+		cycle += advance
 		polarity := 1.0
-		switch cfg.Trigger {
-		case TriggerClock:
-			cycle++
-		case TriggerFIFO:
+		if search {
 			for {
 				cycle++
-				if bs.Bool(cfg.TriggerDensity) {
+				if bs.Bool(fire) {
 					break
 				}
 			}
-		case TriggerNone:
-			for {
-				cycle++
-				if bs.Bool(2 * cfg.TriggerDensity) {
-					break
-				}
-			}
-			// Edge direction is uncontrolled: half the launches are
-			// rising, half falling, and a falling edge's reflection is
-			// the negative of the rising edge's.
-			if bs.Bool(0.5) {
+			if flip && bs.Bool(0.5) {
 				polarity = -1
 			}
 		}
@@ -414,39 +444,26 @@ func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
 		// averaging argument (§IV-C). A phase-locked aggressor would
 		// not average out; that adversarial case is out of scope here.
 		var emi float64
-		if c.cond.EMIAmplitude != 0 {
-			emi = c.cond.EMIAmplitude * math.Sin(bs.Uniform(0, 2*math.Pi))
+		if emiAmp != 0 {
+			emi = emiAmp * math.Sin(bs.Uniform(0, 2*math.Pi))
 		}
 		// The PLL's phase-shifted clock jitters around the nominal
 		// bin position, so each trial samples the waveform slightly
 		// off-bin — a timing-noise contribution that scales with the
 		// local slew rate.
-		tSample := tBin
-		if c.faulted {
-			tSample += c.mf.PhaseOffset
+		tSample := tNominal
+		if jitterRMS > 0 {
+			tSample += bs.Gaussian(0, jitterRMS)
 		}
-		if c.jitterRMS > 0 {
-			tSample += bs.Gaussian(0, c.jitterRMS)
+		if decide {
+			vsig := polarity*c.seen.At(tSample) + emi + xtalk
+			if r.comp.SampleDistorted(bs, vsig, ref, extraOffset, noiseScale) {
+				ones++
+			}
 		}
-		vsig := polarity*c.seen.At(tSample) + emi + xtalk
-		// Fault paths replace the comparator decision; the healthy
-		// branch is byte-for-byte the original sampling call.
-		var dec bool
-		switch {
-		case bf.Dead:
-			// A dead acquisition slice never fires; no noise is drawn,
-			// mirroring hardware where the counter simply sees no pulses.
-		case c.faulted && c.mf.Stuck == StuckLow:
-		case c.faulted && c.mf.Stuck == StuckHigh:
-			dec = true
-		case c.distorted:
-			dec = r.comp.SampleDistorted(bs, vsig, ref, c.mf.ExtraOffset, c.mf.noiseScale())
-		default:
-			dec = r.comp.SampleWith(bs, vsig, ref)
-		}
-		if dec {
-			ones++
-		}
+	}
+	if railHigh {
+		ones = cfg.TrialsPerBin
 	}
 	if bf.CounterXOR != 0 {
 		ones ^= int(bf.CounterXOR)
@@ -457,7 +474,6 @@ func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
 		}
 	}
 	c.saturated[m] = ones == 0 || ones == cfg.TrialsPerBin
-	p := float64(ones) / float64(cfg.TrialsPerBin)
 	// Per-bin inverse-map cache: reuse the inverter while the bin's
 	// reference sequence repeats (always, under TriggerClock) and
 	// promote it to a tabulated CDF on the first reuse. Data-triggered
@@ -487,7 +503,8 @@ func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
 	default:
 		inv.Promote()
 	}
-	// Refer the estimate back to the line by undoing the coupler gain.
-	c.out.Samples[m] = inv.Estimate(p, cfg.TrialsPerBin) / cfg.Coupler.Factor
+	// Refer the estimate back to the line by undoing the coupler gain. A
+	// promoted inverter reads the estimate by count.
+	c.out.Samples[m] = inv.EstimateCount(ones) / cfg.Coupler.Factor
 	c.binCycles[m] = cycle
 }

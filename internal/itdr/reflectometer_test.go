@@ -44,6 +44,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidProbe checks that a probe with a zero, negative or
+// non-finite rise time is refused up front instead of yielding NaN IIPs.
+func TestNewRejectsInvalidProbe(t *testing.T) {
+	for _, rise := range []float64{0, -120e-12, math.NaN(), math.Inf(1)} {
+		p := txline.DefaultProbe()
+		p.RiseTime = rise
+		if _, err := New(DefaultConfig(), p, nil, rng.New(1)); err == nil {
+			t.Errorf("rise time %v: New accepted the probe", rise)
+		}
+	}
+}
+
 func TestConfigDerivedQuantities(t *testing.T) {
 	cfg := DefaultConfig()
 	if got := cfg.EquivalentRate(); math.Abs(got-1/11.16e-12)/got > 1e-12 {

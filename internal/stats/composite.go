@@ -49,6 +49,9 @@ func NewCompositeCDF(sigma float64, centers []float64) *CompositeCDF {
 // Sigma returns the component standard deviation.
 func (c *CompositeCDF) Sigma() float64 { return c.sigma }
 
+// Len returns the number of mixture components.
+func (c *CompositeCDF) Len() int { return len(c.centers) }
+
 // Fingerprint hashes the mixture's defining parameters (sigma and the sorted
 // centers) into a cache key — FNV-1a over the IEEE-754 bit patterns. Two
 // mixtures with equal fingerprints almost certainly tabulate identical

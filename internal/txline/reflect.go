@@ -1,6 +1,7 @@
 package txline
 
 import (
+	"fmt"
 	"math"
 
 	"divot/internal/signal"
@@ -17,6 +18,23 @@ type Probe struct {
 	SecondOrder bool
 }
 
+// Validate reports probe errors. The rise time sets the launched edge's σ,
+// so it must be positive and finite; a non-finite amplitude would turn
+// every sample NaN.
+func (p Probe) Validate() error {
+	switch {
+	case !(p.RiseTime > 0) || math.IsInf(p.RiseTime, 1):
+		return fmt.Errorf("txline: probe rise time %v s must be positive and finite", p.RiseTime)
+	case math.IsNaN(p.Amplitude) || math.IsInf(p.Amplitude, 0):
+		return fmt.Errorf("txline: probe amplitude %v V must be finite", p.Amplitude)
+	}
+	return nil
+}
+
+// sigma returns the σ of the launched Gaussian-filtered edge: the 10-90 %
+// rise time is 2.563σ.
+func (p Probe) sigma() float64 { return p.RiseTime / 2.563 }
+
 // DefaultProbe returns a probe matching a 156.25 MHz FPGA I/O edge.
 func DefaultProbe() Probe {
 	return Probe{RiseTime: 120e-12, Amplitude: 0.9, SecondOrder: true}
@@ -26,7 +44,8 @@ func DefaultProbe() Probe {
 // the line's current state. deltaT is the temperature offset from the 23 °C
 // calibration point, stretch is the mechanical time-axis factor (1 = none),
 // and the output is sampled at rate over n samples starting at t = 0 (edge
-// launch).
+// launch). It panics on a probe that fails Validate, or on one whose edge
+// is far too short to sample at rate.
 //
 // The result is the superposition over every impedance boundary of the
 // incident edge scaled by the boundary's reflection coefficient, delayed by
@@ -48,6 +67,7 @@ type ReflectScratch struct {
 	hi     []int
 	out    *signal.Waveform
 	att    attenuation
+	bank   *edgeBank // the last (rate, σ)'s shared edge bank
 }
 
 // attenuation caches the round-trip loss exp(-2αd) to every segment
@@ -83,6 +103,9 @@ func (c Config) lossNepers() float64 { return c.LossDBPerMeter * math.Ln10 / 20 
 // next ReflectInto on the same scratch; numerics are bit-identical to
 // Reflect.
 func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, rate float64, n int) *signal.Waveform {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	if s == nil {
 		s = &ReflectScratch{}
 	}
@@ -127,11 +150,16 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 
 	s.out = signal.Reuse(s.out, rate, n)
 	out := s.out
-	sigma := p.RiseTime / 2.563
+	sigma := p.sigma()
+	bank := s.bank
+	if bank == nil || bank.rate != rate || bank.sigma != sigma {
+		bank = bankFor(rate, sigma)
+		s.bank = bank
+	}
 	// Each reflection is the incident erf edge delayed to the event time,
 	// evaluated only within its window (addWindow) and held at 0 or full
 	// step outside.
-	window := edgeWindow * sigma
+	window := bank.window
 
 	// Post-window samples see the full step of every earlier event, so the
 	// naive superposition re-adds each event's amplitude over an O(n) tail —
@@ -179,7 +207,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 		// for any sample every tail contribution comes from an earlier event
 		// than every window contribution.
 		for _, ev := range events {
-			addWindow(out.Samples, ev.t*stretch, p.Amplitude*ev.a, sigma, rate)
+			bank.addWindow(out.Samples, ev.t*stretch, p.Amplitude*ev.a)
 		}
 		return out
 	}
@@ -188,40 +216,13 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// pathological profile): the original combined superposition.
 	for _, ev := range events {
 		amp := p.Amplitude * ev.a
-		hiIdx := addWindow(out.Samples, ev.t*stretch, amp, sigma, rate)
+		hiIdx := bank.addWindow(out.Samples, ev.t*stretch, amp)
 		// Samples after the window see the full step.
 		for i := hiIdx; i < n; i++ {
 			out.Samples[i] += amp
 		}
 	}
 	return out
-}
-
-// edgeWindow is the half-width, in σ, of the span over which a reflection's
-// edge is evaluated; outside it the edge is held at 0 or its full step.
-// That is exact to 3e-7 and ~50x cheaper than evaluating the edge at every
-// sample. Inside the window the edge comes from the shared table in edge.go,
-// within 2e-13 of 1+erf.
-const edgeWindow = 5
-
-// addWindow adds one reflection's edge transition, arriving at tEv with
-// amplitude amp, to the samples of out within ±edgeWindow·σ of tEv, and
-// returns the end of that window: samples from there on see the full step.
-func addWindow(out []float64, tEv, amp, sigma, rate float64) (hiIdx int) {
-	window := edgeWindow * sigma
-	loIdx := int((tEv - window) * rate)
-	hiIdx = int((tEv+window)*rate) + 1
-	if loIdx < 0 {
-		loIdx = 0
-	}
-	if hiIdx > len(out) {
-		hiIdx = len(out)
-	}
-	if loIdx < hiIdx {
-		x0 := (float64(loIdx)/rate - tEv) / (sigma * math.Sqrt2)
-		addEdge(out[loIdx:hiIdx], amp*0.5, x0, 1/(rate*sigma*math.Sqrt2))
-	}
-	return hiIdx
 }
 
 // TotalReflectionEnergyBound returns the sum of absolute reflection

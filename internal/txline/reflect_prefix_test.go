@@ -11,10 +11,11 @@ import (
 // reflectReference is the original combined superposition loop (windowed
 // edge plus per-event O(n) tail additions), kept as the reference for the
 // prefix-sum restructure in ReflectInto. With exactErf false it evaluates
-// each window through addWindow, the edge helper ReflectInto uses, and is a
-// bitwise oracle; with exactErf true it evaluates the window verbatim with
-// math.Erf, the untabulated edge the table approximates. The per-segment
-// attenuation is recomputed on every call, not taken from ReflectScratch.
+// each window through the edge bank's addWindow, the helper ReflectInto
+// uses, and is a bitwise oracle; with exactErf true it evaluates the window
+// verbatim with math.Erf, the untabulated edge the bank approximates. The
+// per-segment attenuation is recomputed on every call, not taken from
+// ReflectScratch.
 func reflectReference(l *Line, p Probe, deltaT, stretch float64, rate float64, n int, exactErf bool) *signal.Waveform {
 	stretch *= 1 + l.cfg.ThermalStretchPerC*deltaT
 	z, term := l.effectiveProfileInto(nil, deltaT)
@@ -43,7 +44,7 @@ func reflectReference(l *Line, p Probe, deltaT, stretch float64, rate float64, n
 	}
 
 	out := signal.New(rate, n)
-	sigma := p.RiseTime / 2.563
+	sigma := p.sigma()
 	window := 5 * sigma
 	for _, ev := range events {
 		tEv := ev.t * stretch
@@ -62,7 +63,7 @@ func reflectReference(l *Line, p Probe, deltaT, stretch float64, rate float64, n
 				out.Samples[i] += amp * 0.5 * (1 + math.Erf(t/(sigma*math.Sqrt2)))
 			}
 		} else {
-			addWindow(out.Samples, tEv, amp, sigma, rate)
+			bankFor(rate, sigma).addWindow(out.Samples, tEv, amp)
 		}
 		for i := hiIdx; i < n; i++ {
 			out.Samples[i] += amp
@@ -72,8 +73,8 @@ func reflectReference(l *Line, p Probe, deltaT, stretch float64, rate float64, n
 }
 
 // reflectProbes × reflectConds is the grid the reference tests sweep. The
-// 10 ps probe's window samples lie up to ~5.6 in x = t/(σ√2), past the edge
-// table's ±4, so it drives addEdge's math.Erf fallback.
+// 10 ps probe's edge is about a sample wide (dx ≈ 2 in x = t/(σ√2)), so
+// its bank has ~1000 phase rows of ~6 samples: the short-edge extreme.
 var (
 	reflectProbes = []Probe{
 		DefaultProbe(),

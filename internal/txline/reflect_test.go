@@ -179,3 +179,36 @@ func TestLossAttenuatesFarReflections(t *testing.T) {
 		t.Errorf("far-end energy with loss (%v) should be below lossless (%v)", eb, ea)
 	}
 }
+
+// TestProbeValidate rejects every probe whose rise time is zero, negative
+// or non-finite, or whose amplitude is non-finite; ReflectInto panics on
+// them rather than returning NaN samples.
+func TestProbeValidate(t *testing.T) {
+	if err := DefaultProbe().Validate(); err != nil {
+		t.Fatalf("default probe invalid: %v", err)
+	}
+	bad := map[string]func(*Probe){
+		"zero rise":     func(p *Probe) { p.RiseTime = 0 },
+		"negative rise": func(p *Probe) { p.RiseTime = -120e-12 },
+		"NaN rise":      func(p *Probe) { p.RiseTime = math.NaN() },
+		"infinite rise": func(p *Probe) { p.RiseTime = math.Inf(1) },
+		"NaN amplitude": func(p *Probe) { p.Amplitude = math.NaN() },
+		"inf amplitude": func(p *Probe) { p.Amplitude = math.Inf(-1) },
+	}
+	l := testLine("L", 40)
+	for name, mutate := range bad {
+		p := DefaultProbe()
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: expected validation error", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Reflect did not panic", name)
+				}
+			}()
+			l.Reflect(p, 0, 1, testRate, testN)
+		}()
+	}
+}
