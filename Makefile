@@ -19,6 +19,13 @@ CALIB_ALLOC_BUDGET ?= 64
 REFLECT_ALLOC_BUDGET ?= 0
 MEASURE_ALLOC_BUDGET ?= 3
 
+# ENVELOPE_WRITE_ALLOC_BUDGET and ENVELOPE_PARSE_ALLOC_BUDGET are the
+# allocs/op ceilings for the attest envelope codec on a 256-verdict federated
+# answer (BenchmarkEnvelope): one WriteData (Marshal, the indent buffer,
+# headers) and one ParseBody (almost all of it the verdicts' strings).
+ENVELOPE_WRITE_ALLOC_BUDGET ?= 7
+ENVELOPE_PARSE_ALLOC_BUDGET ?= 793
+
 # BENCH_MAX_REGRESS is the percentage any guarded benchmark's ns/B/allocs
 # may grow over the recorded BENCH_$(PR).json snapshot before bench-guard
 # fails. Generous because shared CI runners show up to ~1.6× wall-clock
@@ -53,16 +60,19 @@ bench:
 
 ## bench-guard: fail if a hot path leaks allocation back in or regresses
 ## past the recorded snapshot — benchsnap -max-allocs checks the monitoring
-## round, warm re-calibration, line-response synthesis and one IIP
-## measurement against their budgets, and -compare diffs all four against
-## BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling
+## round, warm re-calibration, line-response synthesis, one IIP
+## measurement and the attest envelope codec (write and parse) against their
+## budgets, and -compare diffs them against BENCH_$(PR).json with a
+## $(BENCH_MAX_REGRESS)% ceiling (rows the snapshot lacks are reported as new)
 bench-guard:
-	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$|ReflectionSynthesis$$|IIPMeasurement$$' -benchtime 20x -benchmem \
+	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$|ReflectionSynthesis$$|IIPMeasurement$$|Envelope$$' -benchtime 20x -benchmem \
 		| $(GO) run ./cmd/benchsnap \
 			-max-allocs 'MonitorRound=$(MONITOR_ALLOC_BUDGET)' \
 			-max-allocs 'Calibrate=$(CALIB_ALLOC_BUDGET)' \
 			-max-allocs 'ReflectionSynthesis=$(REFLECT_ALLOC_BUDGET)' \
 			-max-allocs 'IIPMeasurement=$(MEASURE_ALLOC_BUDGET)' \
+			-max-allocs 'Envelope/write=$(ENVELOPE_WRITE_ALLOC_BUDGET)' \
+			-max-allocs 'Envelope/parse=$(ENVELOPE_PARSE_ALLOC_BUDGET)' \
 			-compare BENCH_$(PR).json -max-regress $(BENCH_MAX_REGRESS) > /dev/null
 
 ## bench-snapshot: record the hot-path micro-benchmarks plus the full
@@ -88,8 +98,10 @@ bench-experiments:
 ## fuzz-short: a quick native-fuzzing pass over the adversarial-input
 ## decoders — the snapshot envelope, the WAL record scanner/replayer, and the
 ## binary stream frame codec must never panic or fabricate a record on
-## adversarial bytes (CI runs this on every push)
+## adversarial bytes, and the attest envelope codec must agree with its
+## retired two-pass oracle byte for byte (CI runs this on every push)
 fuzz-short:
+	$(GO) test ./internal/attest -run XXX -fuzz FuzzEnvelope -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzScanRecord -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALReplay -fuzztime 10s

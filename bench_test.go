@@ -6,9 +6,12 @@ package divot_test
 // cmd/divotbench -mode full for the paper-scale statistics.
 
 import (
+	"fmt"
+	"net/http"
 	"testing"
 
 	"divot"
+	"divot/internal/attest"
 	"divot/internal/exper"
 	"divot/internal/fingerprint"
 	"divot/internal/itdr"
@@ -272,4 +275,55 @@ func BenchmarkMonitorAll(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEnvelope times the attest envelope codec on the body a herd moves
+// per whole-fleet attest: a 256-verdict federated answer from two daemons.
+// write is WriteData into a discarding ResponseWriter, parse is ParseBody of
+// the written bytes into a fresh response.
+func BenchmarkEnvelope(b *testing.B) {
+	resp := attest.FederatedAttestResponse{AllAccepted: true, Complete: true, Shards: []attest.ShardStatus{
+		{Daemon: "d0", Addr: "http://127.0.0.1:9720", Up: true, Buses: 128},
+		{Daemon: "d1", Addr: "http://127.0.0.1:9721", Up: true, Buses: 128},
+	}}
+	for i := 0; i < 256; i++ {
+		resp.Results = append(resp.Results, attest.AuthReport{
+			ID: fmt.Sprintf("dimm%06d", i), Accepted: true, Score: 0.99 + float64(i%97)/10000,
+			Health: "ok", Cached: true, Daemon: fmt.Sprintf("d%d", i/128),
+		})
+	}
+	w := &bodyWriter{header: make(http.Header)}
+	attest.WriteData(w, http.StatusOK, resp)
+	body := w.body
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			w.body = w.body[:0]
+			attest.WriteData(w, http.StatusOK, resp)
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var out attest.FederatedAttestResponse
+			if err := attest.ParseBody(body, &out); err != nil || len(out.Results) != 256 {
+				b.Fatalf("parse: %v (%d results)", err, len(out.Results))
+			}
+		}
+	})
+}
+
+// bodyWriter is a ResponseWriter that keeps the last body in a reused buffer.
+type bodyWriter struct {
+	header http.Header
+	body   []byte
+}
+
+func (w *bodyWriter) Header() http.Header { return w.header }
+func (w *bodyWriter) WriteHeader(int)     {}
+func (w *bodyWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
 }

@@ -81,6 +81,13 @@ type (
 // member of the Multi.
 var ErrUnknownDaemon = errors.New("client: unknown daemon")
 
+// ErrResponseTooLarge reports an answer longer than the SDK reads
+// (attest.MaxBody, 16 MiB), whether its Content-Length said so up front or
+// the stream ran past the cap. The answer is refused whole, never truncated
+// and then misread; ask for fewer buses per call, or shard the fleet behind
+// a herd.
+var ErrResponseTooLarge = fmt.Errorf("client: response exceeds the %d MiB read cap", attest.MaxBody>>20)
+
 // Wire error codes (APIError.Code values).
 const (
 	CodeBadRequest    = attest.CodeBadRequest
@@ -378,7 +385,10 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := readBody(resp)
+	if errors.Is(err, ErrResponseTooLarge) {
+		return fmt.Errorf("%w: %s %s", err, method, path)
+	}
 	if err != nil {
 		return fmt.Errorf("client: reading %s %s response: %w", method, path, err)
 	}
@@ -388,6 +398,28 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		aerr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 	}
 	return derr
+}
+
+// readBody reads a whole response body into a buffer sized from its
+// Content-Length, so a known-length answer is read without regrowing. A body
+// past attest.MaxBody is ErrResponseTooLarge: refused from its
+// Content-Length, or — sent chunked — on reading one byte past the cap.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > attest.MaxBody {
+		return nil, fmt.Errorf("%w (Content-Length %d)", ErrResponseTooLarge, resp.ContentLength)
+	}
+	size := int64(bytes.MinRead) // room for the read that meets EOF
+	if resp.ContentLength > 0 {
+		size += resp.ContentLength
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, attest.MaxBody+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > attest.MaxBody {
+		return nil, ErrResponseTooLarge
+	}
+	return buf.Bytes(), nil
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After value; the HTTP-date

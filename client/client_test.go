@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -461,5 +464,68 @@ func TestReadyAndHistory(t *testing.T) {
 	var aerr *APIError
 	if !errors.As(err, &aerr) || aerr.Code != CodeUnknownLink {
 		t.Errorf("unknown bus history err = %v, want %s", err, CodeUnknownLink)
+	}
+}
+
+// TestOversizedResponseRefused checks that an answer past the 16 MiB read
+// cap fails with ErrResponseTooLarge naming the cap — not a truncated body
+// misread as "not an envelope" — and is not retried. One server declares
+// its length (WriteData sets Content-Length); the other streams it chunked.
+func TestOversizedResponseRefused(t *testing.T) {
+	pad := make([]byte, 1<<20)
+	for i := range pad {
+		pad[i] = 'x'
+	}
+	servers := map[string]http.HandlerFunc{
+		"content-length": func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("Content-Length", fmt.Sprint(attest.MaxBody+1))
+			w.WriteHeader(http.StatusOK)
+		},
+		"chunked": func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"v":1,"data":{"results":[{"id":"`) //nolint:errcheck
+			w.(http.Flusher).Flush()
+			for n := 0; n <= attest.MaxBody; n += len(pad) {
+				if _, err := w.Write(pad); err != nil {
+					return // the client hung up at the cap
+				}
+			}
+			io.WriteString(w, `"}]}}`) //nolint:errcheck
+		},
+	}
+	for name, handler := range servers {
+		t.Run(name, func(t *testing.T) {
+			var calls atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				handler(w, r)
+			}))
+			defer srv.Close()
+			c, _ := newTestClient(t, srv.URL, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+			_, err := c.Attest(context.Background())
+			if !errors.Is(err, ErrResponseTooLarge) {
+				t.Fatalf("err = %v, want ErrResponseTooLarge", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "16 MiB") || !strings.Contains(msg, "/v1/attest") {
+				t.Errorf("error %q should name the cap and the call", msg)
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("%d requests, want 1: an oversized answer is terminal", n)
+			}
+		})
+	}
+}
+
+// TestReadBodyAtTheCap reads a body of exactly attest.MaxBody bytes, with
+// and without a Content-Length: the cap is inclusive.
+func TestReadBodyAtTheCap(t *testing.T) {
+	body := strings.Repeat("x", attest.MaxBody)
+	for _, length := range []int64{int64(len(body)), -1} {
+		resp := &http.Response{ContentLength: length, Body: io.NopCloser(strings.NewReader(body))}
+		raw, err := readBody(resp)
+		if err != nil || len(raw) != len(body) {
+			t.Errorf("Content-Length %d: read %d bytes, err %v", length, len(raw), err)
+		}
 	}
 }

@@ -390,7 +390,8 @@ func (h *Herd) Attest(ctx context.Context, ids []string) (attest.FederatedAttest
 	for name, o := range outcomes {
 		if o.Err != nil {
 			failed[name] = o.Err
-			if h.setDown(name, o.Err.Error()) {
+			// An answer too large to read still came from a live daemon.
+			if !errors.Is(o.Err, client.ErrResponseTooLarge) && h.setDown(name, o.Err.Error()) {
 				rebalance = true
 			}
 			continue

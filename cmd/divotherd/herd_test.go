@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -475,5 +477,68 @@ func TestHerdHistoryPassthrough(t *testing.T) {
 	}
 	if newOwner, _ := h.Assign("dimm00"); newOwner == owner {
 		t.Errorf("dimm00 still assigned to dead daemon %s", owner)
+	}
+}
+
+// TestHerdOversizedShardAnswerKeepsShardUp: a shard whose answer runs past
+// the SDK's read cap is reported in the partial-failure envelope with an
+// error naming the cap, and stays up — the daemon answered, so re-balancing
+// its buses onto another shard would only move the oversized answer there.
+func TestHerdOversizedShardAnswerKeepsShardUp(t *testing.T) {
+	fs := newFakeShard(t, "fed-test", map[string][]attest.Event{"b0": nil, "b1": nil})
+	h := herdOverFakes(t, fs)
+	resp, werr := h.Attest(context.Background(), nil)
+	if werr != nil {
+		t.Fatalf("Attest: %v", werr)
+	}
+	if resp.Complete || len(resp.Errors) != 1 {
+		t.Fatalf("complete=%v errors=%+v, want one failed shard", resp.Complete, resp.Errors)
+	}
+	if msg := resp.Errors[0].Message; !strings.Contains(msg, "16 MiB read cap") {
+		t.Errorf("shard error %q should name the read cap", msg)
+	}
+	if !h.isUp("A") {
+		t.Error("shard marked down for an oversized answer")
+	}
+}
+
+// TestAttestRequestParsedAlikeByBothServers sends the same POST /v1/attest
+// bodies to a divotd and to a divotherd in front of it: both must answer
+// each with the same status, since they share one request decoder.
+func TestAttestRequestParsedAlikeByBothServers(t *testing.T) {
+	h, pack := newTestHerd(t, 1, busNames(2))
+	herd := httptest.NewServer(h.Handler())
+	defer herd.Close()
+	cases := []struct {
+		name, body string
+		status     int
+	}{
+		{"empty body is the whole fleet", "", http.StatusOK},
+		{"empty object", `{}`, http.StatusOK},
+		{"named bus", `{"links":["dimm01"]}`, http.StatusOK},
+		{"trailing newline", "{\"links\":[\"dimm01\"]}\n", http.StatusOK},
+		{"json null", `null`, http.StatusOK},
+		{"unknown bus", `{"links":["ghost"]}`, http.StatusNotFound},
+		{"trailing garbage", `{"links":["dimm01"]}garbage`, http.StatusBadRequest},
+		{"second value", `{"links":["dimm01"]}{"links":["ghost"]}`, http.StatusBadRequest},
+		{"whitespace only", " \n\t", http.StatusBadRequest},
+		{"not json", `links=dimm01`, http.StatusBadRequest},
+		{"wrong type", `{"links":"dimm01"}`, http.StatusBadRequest},
+		{"over the cap", `{"links":["dimm01"],"pad":"` + strings.Repeat("x", attest.MaxBody) + `"}`,
+			http.StatusBadRequest},
+	}
+	servers := []struct{ name, url string }{{"divotd", pack[0].url()}, {"divotherd", herd.URL}}
+	for _, tc := range cases {
+		for _, srv := range servers {
+			resp, err := http.Post(srv.url+"/v1/attest", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, srv.name, err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s: %s answered %d, want %d: %.200s", tc.name, srv.name, resp.StatusCode, tc.status, raw)
+			}
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 
 	"divot/internal/attest"
@@ -57,17 +55,10 @@ func (h *Herd) handleDaemons(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (h *Herd) handleAttest(w http.ResponseWriter, r *http.Request) {
-	var req attest.AttestRequest
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	req, err := attest.ReadAttestRequest(r.Body)
 	if err != nil {
-		attest.WriteError(w, attest.CodeBadRequest, "reading request: %v", err)
+		attest.WriteError(w, attest.CodeBadRequest, "parsing attest request: %v", err)
 		return
-	}
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &req); err != nil {
-			attest.WriteError(w, attest.CodeBadRequest, "parsing request: %v", err)
-			return
-		}
 	}
 	resp, werr := h.Attest(r.Context(), req.Links)
 	if werr != nil {

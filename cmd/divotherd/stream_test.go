@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +20,8 @@ import (
 // herd discovery (/healthz, /v1/links) plus a binary /v1/stream that serves
 // a fixed per-link event history honoring the subscriber's resume map and
 // kind filter, then holds the stream open. Deterministic where a real daemon
-// would be driven by the physics engine.
+// would be driven by the physics engine. Its POST /v1/attest streams an
+// answer past the SDK's read cap, as a daemon serving too many buses would.
 type fakeShard struct {
 	fed    string
 	events map[string][]attest.Event // per link, seq-ascending
@@ -48,6 +50,15 @@ func newFakeShard(t *testing.T, fed string, events map[string][]attest.Event) *f
 		attest.WriteData(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/stream", fs.serveStream)
+	mux.HandleFunc("POST /v1/attest", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		pad := []byte(strings.Repeat(" ", 1<<20))
+		for n := 0; n <= attest.MaxBody; n += len(pad) {
+			if _, err := w.Write(pad); err != nil {
+				return // the herd hung up at the cap
+			}
+		}
+	})
 	fs.srv = httptest.NewServer(mux)
 	t.Cleanup(fs.srv.Close)
 	return fs

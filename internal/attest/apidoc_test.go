@@ -1,8 +1,10 @@
 package attest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"regexp"
 	"strings"
@@ -15,15 +17,16 @@ const apiDocPath = "../../docs/API.md"
 // goldenExamples are the doc's example payloads, keyed by the
 // `<!-- api-golden: name -->` tag preceding each ```json block in API.md.
 // The doc block must match json.MarshalIndent of the value here exactly —
-// the reference cannot drift from the schema structs without this test
-// failing on either side.
+// or, for an envelopeExample, the body the shipped envelope writer sends —
+// so the reference cannot drift from the schema structs or the encoder
+// without this test failing on either side.
 func goldenExamples() map[string]any {
 	healthView := HealthView{
 		Status: "ok", Buses: 4, FleetOK: true, UptimeS: 932.5, FederationID: "prod-east",
 	}
 	return map[string]any{
-		"envelope-success": Envelope{V: Version, Data: mustRaw(healthView)},
-		"envelope-error": Envelope{V: Version, Error: &Error{
+		"envelope-success": envelopeExample{data: healthView},
+		"envelope-error": envelopeExample{err: &Error{
 			Code: CodeUnknownLink, Message: `unknown bus "dimm9"`,
 		}},
 		"healthz": healthView,
@@ -106,12 +109,20 @@ func goldenExamples() map[string]any {
 	}
 }
 
-func mustRaw(v any) json.RawMessage {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
+// envelopeExample is a doc example API.md shows as a whole response body.
+// It is rendered by the shipped writer — WriteError of err when set,
+// otherwise WriteData of data — not by json.MarshalIndent.
+type envelopeExample struct {
+	data any
+	err  *Error
+}
+
+func (ex envelopeExample) write(w http.ResponseWriter) {
+	if ex.err != nil {
+		WriteError(w, ex.err.Code, "%s", ex.err.Message)
+		return
 	}
-	return raw
+	WriteData(w, http.StatusOK, ex.data)
 }
 
 // goldenTag matches the marker comment that names the example a ```json
@@ -151,8 +162,9 @@ func extractGoldenBlocks(t *testing.T, doc string) map[string]string {
 
 // TestAPIDocGolden pins every tagged example in docs/API.md to the schema
 // structs: each block must byte-match json.MarshalIndent of the Go value in
-// goldenExamples. A schema change that touches the wire format fails here
-// until the reference is updated, and vice versa.
+// goldenExamples, or the body WriteData/WriteError sends for an envelope.
+// A schema change that touches the wire format fails here until the
+// reference is updated, and vice versa.
 func TestAPIDocGolden(t *testing.T) {
 	raw, err := os.ReadFile(apiDocPath)
 	if err != nil {
@@ -172,8 +184,10 @@ func TestAPIDocGolden(t *testing.T) {
 			t.Errorf("API.md is missing a block tagged <!-- api-golden: %s -->", name)
 			continue
 		}
-		want, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
+		var want []byte
+		if ex, ok := v.(envelopeExample); ok {
+			want = bytes.TrimSuffix(render(ex.write).Body.Bytes(), []byte("\n"))
+		} else if want, err = json.MarshalIndent(v, "", "  "); err != nil {
 			t.Fatalf("marshalling example %q: %v", name, err)
 		}
 		if got := strings.TrimSpace(block); got != string(want) {

@@ -2,9 +2,7 @@ package daemon
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -18,10 +16,8 @@ import (
 // order for the whole-fleet form — so retries of the same request are
 // byte-comparable.
 func (d *Daemon) handleAttest(w http.ResponseWriter, r *http.Request) {
-	// An empty body is the whole-fleet request; anything else must be a
-	// well-formed AttestRequest.
-	var req attest.AttestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	req, err := attest.ReadAttestRequest(r.Body)
+	if err != nil {
 		attest.WriteError(w, attest.CodeBadRequest, "parsing attest request: %v", err)
 		return
 	}
