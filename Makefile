@@ -1,5 +1,9 @@
 GO ?= go
-PR ?= 10
+
+# PR names the BENCH_$(PR).json snapshot: bench-guard compares against it,
+# bench-snapshot writes it. It defaults to the numerically newest checked-in
+# snapshot; record a new one with `make bench-snapshot PR=<n>`.
+PR ?= $(shell printf '%s\n' $(patsubst BENCH_%.json,%,$(wildcard BENCH_*.json)) | sort -n | tail -1)
 
 # MONITOR_ALLOC_BUDGET is the allocs/op ceiling for the steady-state
 # monitoring round benchmark (BenchmarkMonitorRound runs at the default

@@ -197,7 +197,10 @@ func BenchmarkMemoryTraffic(b *testing.B) {
 // protected link.
 func BenchmarkMonitorRound(b *testing.B) {
 	sys := divot.NewSystem(7, divot.DefaultConfig())
-	l := sys.MustNewLink("bus0")
+	l, err := sys.NewLink("bus0")
+	if err != nil {
+		b.Fatal(err)
+	}
 	if err := l.Calibrate(); err != nil {
 		b.Fatal(err)
 	}
@@ -232,7 +235,10 @@ func BenchmarkMonitorRoundTelemetry(b *testing.B) {
 				}()
 				sys.SetSink(divot.TelemetryFanout(divot.NewMetricsSink(reg), bus))
 			}
-			l := sys.MustNewLink("bus0")
+			l, err := sys.NewLink("bus0")
+			if err != nil {
+				b.Fatal(err)
+			}
 			if err := l.Calibrate(); err != nil {
 				b.Fatal(err)
 			}
@@ -260,7 +266,11 @@ func BenchmarkMonitorAll(b *testing.B) {
 			cfg.Engine.Parallelism = par
 			sys := divot.NewSystem(9, cfg)
 			for i := 0; i < 6; i++ {
-				if err := sys.MustNewLink(string(rune('a' + i))).Calibrate(); err != nil {
+				l, err := sys.NewLink(string(rune('a' + i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := l.Calibrate(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,8 +7,8 @@
 // reused connections. Every call takes a context; idempotent calls are
 // retried on transport faults and 5xx/429 answers with capped exponential
 // backoff, jitter, and a per-call retry budget. Watch subscribes to a bus's
-// live event feed over server-sent events and transparently resumes from the
-// last seen sequence number after a disconnect.
+// live event feed over the daemon's binary event stream and transparently
+// resumes from the last seen sequence number after a disconnect.
 //
 //	c, err := client.New("http://fleet-host:9720")
 //	...
@@ -34,7 +34,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"divot/internal/attest"
@@ -162,11 +161,6 @@ type Client struct {
 	timeout time.Duration
 	retry   RetryPolicy
 	ua      string
-
-	// streamMode caches the negotiated watch transport (streamMode*
-	// constants): binary multiplexed /v1/stream when the daemon serves it,
-	// legacy per-link SSE when it predates the endpoint.
-	streamMode atomic.Int32
 
 	// sleep and rnd are seams for deterministic retry tests.
 	sleep func(ctx context.Context, d time.Duration) error

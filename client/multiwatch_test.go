@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,9 +14,11 @@ import (
 	"divot/internal/wire"
 )
 
-// binaryScript serves scripted binary /v1/stream connections, mirroring
-// streamScript for the multiplexed transport. Connection i gets a Hello for
-// the requested links, then frames[i], then holds or disconnects.
+// binaryScript serves scripted binary /v1/stream connections: connection i
+// gets a Hello for the requested links, then frames[i], then holds the
+// stream open until the client goes away or disconnects (a mid-stream drop
+// from the client's point of view). It records each connection's Subscribe
+// so tests can assert the resume protocol.
 type binaryScript struct {
 	mu    sync.Mutex
 	subs  []wire.Subscribe
@@ -205,53 +206,46 @@ func TestWatchMultiBinaryErrorFrameFailsTyped(t *testing.T) {
 	}
 }
 
-// TestStreamModeCachedAcrossWatches pins the negotiation contract: one probe
-// per Client, not per Watch. After the first /v1/stream answers a bare 404,
-// every later watch on the same Client goes straight to the SSE fallback.
-func TestStreamModeCachedAcrossWatches(t *testing.T) {
+// TestWatchBare404FailsSynchronously: a daemon that does not serve
+// GET /v1/stream answers its mux's bare 404. Watch and WatchMulti must fail
+// on the spot with that answer as an *APIError — one request each, no retry,
+// and no detour to any other route.
+func TestWatchBare404FailsSynchronously(t *testing.T) {
 	var mu sync.Mutex
-	probes := 0
+	var paths []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			mu.Lock()
-			probes++
-			mu.Unlock()
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.WriteHeader(http.StatusOK)
-		fl := w.(http.Flusher)
-		fmt.Fprintf(w, "data: {\"seq\":1,\"kind\":\"round\",\"link\":\"d\"}\n\n")
-		fl.Flush()
-		<-r.Context().Done()
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		http.NotFound(w, r)
 	}))
 	defer srv.Close()
-
 	c, err := New(srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		w, err := c.Watch(context.Background(), "d", WatchOptions{})
-		if err != nil {
-			t.Fatalf("watch %d: %v", i, err)
+	for name, open := range map[string]func() error{
+		"Watch": func() error {
+			_, err := c.Watch(context.Background(), "d", WatchOptions{})
+			return err
+		},
+		"WatchMulti": func() error {
+			_, err := c.WatchMulti(context.Background(), WatchOptions{Links: []string{"d"}})
+			return err
+		},
+	} {
+		mu.Lock()
+		paths = nil
+		mu.Unlock()
+		err := open()
+		var aerr *APIError
+		if !errors.As(err, &aerr) || aerr.Status != http.StatusNotFound {
+			t.Fatalf("%s err = %v, want *APIError with http 404", name, err)
 		}
-		select {
-		case ev := <-w.Events():
-			if ev.Seq != 1 {
-				t.Fatalf("watch %d: seq = %d, want 1", i, ev.Seq)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("watch %d stalled", i)
+		mu.Lock()
+		if len(paths) != 1 || paths[0] != "/v1/stream" {
+			t.Errorf("%s sent %v, want exactly one GET /v1/stream", name, paths)
 		}
-		w.Close()
-		for range w.Events() {
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if probes != 1 {
-		t.Fatalf("probes = %d, want 1 (mode must be cached on the Client)", probes)
+		mu.Unlock()
 	}
 }

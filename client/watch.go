@@ -3,9 +3,6 @@ package client
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/url"
-	"strconv"
 )
 
 // WatchOptions configures a Watch or WatchMulti.
@@ -26,10 +23,8 @@ type WatchOptions struct {
 	Links []string
 	// Kinds narrows delivery to the named event kinds (attest.Event.Kind
 	// strings: "alert", "gate", "health", ...); empty delivers every kind the
-	// feed carries. On the binary stream the filter is applied server-side;
-	// on the legacy SSE fallback the client filters, so the wire still
-	// carries every kind. An unknown kind name is a bad_request on the binary
-	// stream and silently matches nothing on the fallback.
+	// feed carries. The daemon applies the filter, so filtered-out events
+	// never travel; an unknown kind name is a bad_request.
 	Kinds []string
 	// AfterByLink is WatchMulti's per-link resume map: each named link
 	// resumes past its cursor (see After for the continuity semantics; the
@@ -46,8 +41,7 @@ type WatchOptions struct {
 // decides whether to re-Watch with After 0 (accepting the hole) or to
 // rebuild its state from GET /v1/links/{id}/alerts first.
 type ResumeGapError struct {
-	// Link is the bus whose feed gapped ("" only on legacy single-link
-	// streams from daemons that predate link attribution).
+	// Link is the bus whose feed gapped.
 	Link string
 	// Resume is the sequence number the watch tried to continue past.
 	Resume uint64
@@ -57,21 +51,16 @@ type ResumeGapError struct {
 
 // Error implements the error interface.
 func (e *ResumeGapError) Error() string {
-	if e.Link != "" {
-		return fmt.Sprintf("client: resume gap on %s: events %d..%d evicted from the server's retention ring",
-			e.Link, e.Resume+1, e.Oldest-1)
-	}
-	return fmt.Sprintf("client: resume gap: events %d..%d evicted from the server's retention ring",
-		e.Resume+1, e.Oldest-1)
+	return fmt.Sprintf("client: resume gap on %s: events %d..%d evicted from the server's retention ring",
+		e.Link, e.Resume+1, e.Oldest-1)
 }
 
 // Watch is a live subscription to one bus's event feed. Events arrive on
 // Events() in sequence order, deduplicated; the channel closes when the
 // subscription ends, after which Err reports why.
 //
-// Watch is a single-link view over the same machinery as WatchMulti: against
-// a current daemon it rides the multiplexed binary stream, against an older
-// one the legacy SSE feed — negotiated once and cached on the Client.
+// Watch is a single-link view over WatchMulti: it rides the multiplexed
+// binary stream (GET /v1/stream) subscribed to one link.
 //
 // # Resume semantics
 //
@@ -139,55 +128,4 @@ func (c *Client) Watch(ctx context.Context, id string, opts WatchOptions) (*Watc
 		return nil, err
 	}
 	return &Watch{mw: mw, id: id}, nil
-}
-
-// connectStream dials the legacy SSE event feed once per attempt, retrying
-// transport faults and 5xx answers under the client's policy. On success the
-// response body is the open stream (no per-attempt timeout — streams live
-// until closed).
-func (c *Client) connectStream(ctx context.Context, id string, after uint64) (*http.Response, error) {
-	path := c.base + "/v1/links/" + url.PathEscape(id) + "/events"
-	if after > 0 {
-		path += "?after=" + strconv.FormatUint(after, 10)
-	}
-	var lastErr error
-	var spent int64
-	for attempt := 0; ; attempt++ {
-		resp, err := c.dialStream(ctx, path)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !c.shouldRetry(ctx, err) || attempt+1 >= c.retry.MaxAttempts {
-			return nil, lastErr
-		}
-		d := c.backoff(attempt)
-		if c.retry.Budget > 0 && spent+int64(d) > int64(c.retry.Budget) {
-			return nil, lastErr
-		}
-		spent += int64(d)
-		if err := c.sleep(ctx, d); err != nil {
-			return nil, lastErr
-		}
-	}
-}
-
-func (c *Client) dialStream(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("client: building stream request: %w", err)
-	}
-	req.Header.Set("User-Agent", c.ua)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: opening stream: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		raw := make([]byte, 4096)
-		n, _ := resp.Body.Read(raw)
-		return nil, decodeResponse(resp.StatusCode, raw[:n], nil)
-	}
-	return resp, nil
 }

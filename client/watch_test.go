@@ -3,84 +3,16 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"divot/internal/attest"
+	"divot/internal/wire"
 )
-
-// streamScript serves scripted SSE connections: connection i sends frames[i]
-// (with heartbeats interleaved) and then either disconnects or holds the
-// stream open until the client goes away. It records each connection's
-// ?after value so tests can assert the resume protocol.
-type streamScript struct {
-	mu     sync.Mutex
-	afters []uint64
-	conns  int
-	// script returns the events to send on connection n (0-based) and
-	// whether to hold the stream open afterwards.
-	script func(conn int) (events []Event, hold bool)
-	srv    *httptest.Server
-}
-
-func newStreamScript(t *testing.T, script func(conn int) ([]Event, bool)) *streamScript {
-	t.Helper()
-	ss := &streamScript{script: script}
-	ss.srv = httptest.NewServer(http.HandlerFunc(ss.serve))
-	t.Cleanup(ss.srv.Close)
-	return ss
-}
-
-func (ss *streamScript) serve(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/stream" {
-		// This fake daemon predates the binary stream: the client's probe
-		// gets a bare 404 and falls back to SSE. Not counted as a connection.
-		http.NotFound(w, r)
-		return
-	}
-	after := uint64(0)
-	if raw := r.URL.Query().Get("after"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			attest.WriteError(w, attest.CodeBadRequest, "bad after=%q", raw)
-			return
-		}
-		after = n
-	}
-	ss.mu.Lock()
-	conn := ss.conns
-	ss.conns++
-	ss.afters = append(ss.afters, after)
-	ss.mu.Unlock()
-	events, hold := ss.script(conn)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.WriteHeader(http.StatusOK)
-	fl := w.(http.Flusher)
-	fmt.Fprintf(w, ": hb\n\n") // leading heartbeat, must be skipped
-	fl.Flush()
-	for _, ev := range events {
-		raw := fmt.Sprintf(`{"seq":%d,"kind":%q,"link":%q}`, ev.Seq, ev.Kind, ev.Link)
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n: hb\n\n", ev.Seq, ev.Kind, raw)
-		fl.Flush()
-	}
-	if hold {
-		<-r.Context().Done()
-	}
-	// Returning severs the connection: a mid-stream disconnect from the
-	// client's point of view.
-}
-
-func (ss *streamScript) seenAfters() []uint64 {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return append([]uint64(nil), ss.afters...)
-}
 
 func fastRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
@@ -104,24 +36,44 @@ func collectN(t *testing.T, w *Watch, n int) []Event {
 	return out
 }
 
+// heartbeat is an idle keep-alive frame; scripts interleave it to prove the
+// watch never surfaces it.
+var heartbeat = wire.AppendFrame(nil, wire.FrameHeartbeat, nil)
+
+// resumeCursors returns the resume cursor each served connection carried
+// for link id (0 when its resume map did not name the link).
+func (bs *binaryScript) resumeCursors(id string) []uint64 {
+	subs := bs.seenSubs()
+	out := make([]uint64, len(subs))
+	for i, sub := range subs {
+		out[i] = sub.After[id]
+	}
+	return out
+}
+
 // TestWatchResumesAcrossDisconnects is the streaming acceptance test: the
 // server drops the connection twice mid-stream; the watch must redial with
-// ?after set to the last delivered sequence number and the consumer must see
-// every event exactly once, in order, heartbeats invisible.
+// its resume cursor set to the last delivered sequence number and the
+// consumer must see every event exactly once, in order, heartbeats
+// invisible.
 func TestWatchResumesAcrossDisconnects(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
 		switch conn {
 		case 0:
-			return []Event{{Seq: 1, Kind: "round", Link: "dimm0"}, {Seq: 2, Kind: "alert", Link: "dimm0"}, {Seq: 3, Kind: "gate", Link: "dimm0"}}, false
+			f := append(append([]byte(nil), heartbeat...), eventFrames(
+				Event{Seq: 1, Kind: "round", Link: "dimm0"},
+				Event{Seq: 2, Kind: "alert", Link: "dimm0"})...)
+			f = append(f, heartbeat...)
+			return append(f, eventFrames(Event{Seq: 3, Kind: "gate", Link: "dimm0"})...), false
 		case 1:
 			// Overlap: the server's replay window may resend seq 3; the
 			// watch must deduplicate it.
-			return []Event{{Seq: 3, Kind: "gate", Link: "dimm0"}, {Seq: 4, Kind: "health", Link: "dimm0"}}, false
+			return eventFrames(Event{Seq: 3, Kind: "gate", Link: "dimm0"}, Event{Seq: 4, Kind: "health", Link: "dimm0"}), false
 		default:
-			return []Event{{Seq: 5, Kind: "round", Link: "dimm0"}}, true
+			return eventFrames(Event{Seq: 5, Kind: "round", Link: "dimm0"}), true
 		}
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +94,8 @@ func TestWatchResumesAcrossDisconnects(t *testing.T) {
 	}
 	// Connect 0 starts fresh, connect 1 resumes past the first drop (seq 3
 	// delivered), connect 2 past the second (seq 4 delivered).
-	afters := ss.seenAfters()
-	want := []uint64{0, 3, 4}
-	if len(afters) != 3 || afters[0] != want[0] || afters[1] != want[1] || afters[2] != want[2] {
-		t.Errorf("server saw after=%v, want %v (resume from last seen seq)", afters, want)
+	if got, want := bs.resumeCursors("dimm0"), []uint64{0, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("server saw resume cursors %v, want %v (resume from last seen seq)", got, want)
 	}
 	// Cancellation closes the channel and reports the context error.
 	cancel()
@@ -159,10 +109,10 @@ func TestWatchResumesAcrossDisconnects(t *testing.T) {
 // TestWatchAfterOptionSkipsReplay: WatchOptions.After travels to the server
 // on the first connection and pre-seeds the dedupe floor.
 func TestWatchAfterOptionSkipsReplay(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 7, Kind: "round", Link: "d"}, {Seq: 8, Kind: "alert", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return eventFrames(Event{Seq: 7, Kind: "round", Link: "d"}, Event{Seq: 8, Kind: "alert", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +126,8 @@ func TestWatchAfterOptionSkipsReplay(t *testing.T) {
 	if got[0].Seq != 8 {
 		t.Errorf("first delivered seq = %d, want 8 (7 is below the After floor)", got[0].Seq)
 	}
-	if afters := ss.seenAfters(); len(afters) != 1 || afters[0] != 7 {
-		t.Errorf("server saw after=%v, want [7]", afters)
+	if got, want := bs.resumeCursors("d"), []uint64{7}; !reflect.DeepEqual(got, want) {
+		t.Errorf("server saw resume cursors %v, want %v", got, want)
 	}
 }
 
@@ -212,28 +162,26 @@ func TestWatchUnknownLinkFailsFast(t *testing.T) {
 // TestWatchConnectRetriesThrough5xx: a daemon mid-restart answers 503; the
 // initial connect retries through it under the policy.
 func TestWatchConnectRetriesThrough5xx(t *testing.T) {
-	conns := 0
+	refused := 0
 	var mu sync.Mutex
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 1, Kind: "round", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return eventFrames(Event{Seq: 1, Kind: "round", Link: "d"}), true
 	})
-	inner := ss.srv.Config.Handler
-	ss.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			http.NotFound(w, r) // probe falls back to SSE; not a counted connection
-			return
-		}
+	inner := bs.srv.Config.Handler
+	bs.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		n := conns
-		conns++
+		refuse := refused < 2
+		if refuse {
+			refused++
+		}
 		mu.Unlock()
-		if n < 2 {
+		if refuse {
 			attest.WriteError(w, attest.CodeUnavailable, "restarting")
 			return
 		}
 		inner.ServeHTTP(w, r)
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +202,11 @@ func TestWatchConnectRetriesThrough5xx(t *testing.T) {
 func TestWatchGivesUpWhenReconnectExhausts(t *testing.T) {
 	down := false
 	var mu sync.Mutex
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 1, Kind: "round", Link: "d"}}, false
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return eventFrames(Event{Seq: 1, Kind: "round", Link: "d"}), false
 	})
-	inner := ss.srv.Config.Handler
-	ss.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			http.NotFound(w, r) // probe falls back to SSE; not a counted connection
-			return
-		}
+	inner := bs.srv.Config.Handler
+	bs.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		d := down
 		down = true // first connection streams, everything after is down
@@ -273,7 +217,7 @@ func TestWatchGivesUpWhenReconnectExhausts(t *testing.T) {
 		}
 		inner.ServeHTTP(w, r)
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,17 +245,43 @@ func TestWatchGivesUpWhenReconnectExhausts(t *testing.T) {
 	}
 }
 
+// awaitGap drains w until it ends and requires a *ResumeGapError naming
+// link d with the given bounds, delivering nothing on the way.
+func awaitGap(t *testing.T, w *Watch, resume, oldest uint64) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case ev, ok := <-w.Events():
+			if ok {
+				t.Fatalf("delivered event seq %d across a resume gap", ev.Seq)
+			}
+			var gap *ResumeGapError
+			if !errors.As(w.Err(), &gap) {
+				t.Fatalf("Err() = %v, want *ResumeGapError", w.Err())
+			}
+			if gap.Link != "d" || gap.Resume != resume || gap.Oldest != oldest {
+				t.Errorf("gap = %+v, want {Link:d Resume:%d Oldest:%d}", gap, resume, oldest)
+			}
+			return
+		case <-deadline:
+			t.Fatal("watch never ended on a resume gap")
+		}
+	}
+}
+
 // TestWatchResumeGapFailsTyped: a Watch opened with After=R claims the
 // server still holds event R+1. When the retention ring has evicted it — the
 // first replayed event is beyond R+1 — the watch must end with a
 // *ResumeGapError carrying the hole's bounds, delivering nothing, rather
-// than silently skipping ahead.
+// than silently skipping ahead. The script sends no Gap frame, so the
+// client's own first-event continuity check is what must catch it.
 func TestWatchResumeGapFailsTyped(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
 		// The ring's oldest survivor is seq 9; events 6..8 are gone.
-		return []Event{{Seq: 9, Kind: "round", Link: "d"}, {Seq: 10, Kind: "alert", Link: "d"}}, true
+		return eventFrames(Event{Seq: 9, Kind: "round", Link: "d"}, Event{Seq: 10, Kind: "alert", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,25 +289,8 @@ func TestWatchResumeGapFailsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case ev, ok := <-w.Events():
-			if ok {
-				t.Fatalf("delivered event seq %d across a resume gap", ev.Seq)
-			}
-			var gap *ResumeGapError
-			if !errors.As(w.Err(), &gap) {
-				t.Fatalf("Err() = %v, want *ResumeGapError", w.Err())
-			}
-			if gap.Resume != 5 || gap.Oldest != 9 {
-				t.Errorf("gap = {Resume:%d Oldest:%d}, want {Resume:5 Oldest:9}", gap.Resume, gap.Oldest)
-			}
-			return
-		case <-deadline:
-			t.Fatal("watch never ended on a resume gap")
-		}
-	}
+	defer w.Close()
+	awaitGap(t, w, 5, 9)
 }
 
 // TestWatchResumeGapAfterReconnect: the same continuity check guards the
@@ -345,14 +298,14 @@ func TestWatchResumeGapFailsTyped(t *testing.T) {
 // normally, then the gapped resume ends the feed instead of bridging the
 // hole.
 func TestWatchResumeGapAfterReconnect(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
 		if conn == 0 {
-			return []Event{{Seq: 1, Kind: "round", Link: "d"}, {Seq: 2, Kind: "alert", Link: "d"}}, false
+			return eventFrames(Event{Seq: 1, Kind: "round", Link: "d"}, Event{Seq: 2, Kind: "alert", Link: "d"}), false
 		}
-		// By the time the watch redials with ?after=2, the ring starts at 10.
-		return []Event{{Seq: 10, Kind: "round", Link: "d"}}, true
+		// By the time the watch redials resuming past 2, the ring starts at 10.
+		return eventFrames(Event{Seq: 10, Kind: "round", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,41 +313,24 @@ func TestWatchResumeGapAfterReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	got := collectN(t, w, 2)
 	if got[0].Seq != 1 || got[1].Seq != 2 {
 		t.Fatalf("pre-disconnect seqs = [%d %d], want [1 2]", got[0].Seq, got[1].Seq)
 	}
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case ev, ok := <-w.Events():
-			if ok {
-				t.Fatalf("delivered event seq %d across a resume gap", ev.Seq)
-			}
-			var gap *ResumeGapError
-			if !errors.As(w.Err(), &gap) {
-				t.Fatalf("Err() = %v, want *ResumeGapError", w.Err())
-			}
-			if gap.Resume != 2 || gap.Oldest != 10 {
-				t.Errorf("gap = {Resume:%d Oldest:%d}, want {Resume:2 Oldest:10}", gap.Resume, gap.Oldest)
-			}
-			if afters := ss.seenAfters(); len(afters) != 2 || afters[1] != 2 {
-				t.Errorf("server saw after=%v, want [0 2]", afters)
-			}
-			return
-		case <-deadline:
-			t.Fatal("watch never ended on a resume gap")
-		}
+	awaitGap(t, w, 2, 10)
+	if got, want := bs.resumeCursors("d"), []uint64{0, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("server saw resume cursors %v, want %v", got, want)
 	}
 }
 
 // TestWatchAfterZeroClaimsNothing: an After-less watch starts wherever the
 // ring starts — a high first sequence number is not a gap.
 func TestWatchAfterZeroClaimsNothing(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 50, Kind: "round", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return eventFrames(Event{Seq: 50, Kind: "round", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +348,10 @@ func TestWatchAfterZeroClaimsNothing(t *testing.T) {
 // TestWatchCloseEndsFeed: Close tears the stream down without an external
 // context.
 func TestWatchCloseEndsFeed(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 1, Kind: "round", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return eventFrames(Event{Seq: 1, Kind: "round", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,21 +115,6 @@ func (s *System) NewLink(id string) (*Link, error) {
 	return l, nil
 }
 
-// MustNewLink is NewLink for static setups; it panics on error.
-//
-// Prefer NewLink with an explicit error return in anything beyond a fixed
-// test fixture: the only failure modes (duplicate id, invalid configuration)
-// are exactly the ones long-running services want to surface as errors
-// rather than crashes. MustNewLink is soft-deprecated — it stays for
-// compact examples but gains no new call sites in this repository.
-func (s *System) MustNewLink(id string) *Link {
-	l, err := s.NewLink(id)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // NewMultiLink manufactures a protected bus of n wires whose fused gates
 // require every wire to authenticate (§IV-C's multi-wire direction). The bus
 // registers under the same id namespace as single links and participates in

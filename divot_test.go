@@ -25,20 +25,12 @@ func TestSystemLinkLifecycle(t *testing.T) {
 	}
 }
 
-func TestMustNewLinkPanicsOnDuplicate(t *testing.T) {
-	s := NewSystem(2, DefaultConfig())
-	s.MustNewLink("x")
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	s.MustNewLink("x")
-}
-
 func TestAuthenticateSpotCheck(t *testing.T) {
 	s := NewSystem(3, DefaultConfig())
-	l := s.MustNewLink("bus0")
+	l, err := s.NewLink("bus0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Calibrate(); err != nil {
 		t.Fatal(err)
 	}

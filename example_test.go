@@ -9,7 +9,10 @@ import (
 // Example shows the minimal protect-calibrate-authenticate flow.
 func Example() {
 	sys := divot.NewSystem(2026, divot.DefaultConfig())
-	bus := sys.MustNewLink("memory-bus")
+	bus, err := sys.NewLink("memory-bus")
+	if err != nil {
+		panic(err)
+	}
 	if err := bus.Calibrate(); err != nil {
 		panic(err)
 	}
@@ -47,7 +50,10 @@ func ExampleSystem_NewLink() {
 // soldered on: the tap dents the IIP and the check rejects.
 func ExampleLink_Authenticate() {
 	sys := divot.NewSystem(21, divot.DefaultConfig())
-	bus := sys.MustNewLink("dimm0")
+	bus, err := sys.NewLink("dimm0")
+	if err != nil {
+		panic(err)
+	}
 	if err := bus.Calibrate(); err != nil {
 		panic(err)
 	}
@@ -70,7 +76,11 @@ func ExampleSystem_MonitorAll() {
 	cfg.Engine.Parallelism = 4 // 0 = one worker per CPU, 1 = sequential
 	sys := divot.NewSystem(31, cfg)
 	for _, id := range []string{"cmd", "addr", "dq0"} {
-		if err := sys.MustNewLink(id).Calibrate(); err != nil {
+		bus, err := sys.NewLink(id)
+		if err != nil {
+			panic(err)
+		}
+		if err := bus.Calibrate(); err != nil {
 			panic(err)
 		}
 	}
@@ -118,8 +128,14 @@ func ExampleSystem_NewMultiLink() {
 // ExampleSimilarity scores two fingerprints of the same line.
 func ExampleSimilarity() {
 	sys := divot.NewSystem(3, divot.DefaultConfig())
-	a := sys.MustNewLink("a")
-	b := sys.MustNewLink("b")
+	a, err := sys.NewLink("a")
+	if err != nil {
+		panic(err)
+	}
+	b, err := sys.NewLink("b")
+	if err != nil {
+		panic(err)
+	}
 	if err := a.Calibrate(); err != nil {
 		panic(err)
 	}

@@ -103,7 +103,10 @@ func TestReactorEscalatesOnColdBoot(t *testing.T) {
 
 func TestAlignStretchFacade(t *testing.T) {
 	sys := NewSystem(33, DefaultConfig())
-	l := sys.MustNewLink("bus0")
+	l, err := sys.NewLink("bus0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,10 @@ func TestFacadeConstructorErrors(t *testing.T) {
 
 func TestFixedPointScorerFacade(t *testing.T) {
 	sys := NewSystem(42, DefaultConfig())
-	l := sys.MustNewLink("bus0")
+	l, err := sys.NewLink("bus0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +232,16 @@ func TestSimTimeReexports(t *testing.T) {
 
 func TestSystemRegistryAndSkips(t *testing.T) {
 	sys := NewSystem(50, DefaultConfig())
-	single := sys.MustNewLink("a-single")
+	single, err := sys.NewLink("a-single")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := single.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
-	sys.MustNewLink("b-raw") // never calibrated
+	if _, err := sys.NewLink("b-raw"); err != nil { // never calibrated
+		t.Fatal(err)
+	}
 	multi, err := sys.NewMultiLink("c-bundle", 2)
 	if err != nil {
 		t.Fatal(err)

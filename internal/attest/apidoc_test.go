@@ -214,7 +214,6 @@ func TestAPIDocCoversEndpoints(t *testing.T) {
 		"GET /v1/health",
 		"GET /v1/links",
 		"GET /v1/links/{id}/alerts",
-		"GET /v1/links/{id}/events",
 		"GET /v1/stream",
 		"POST /v1/links/{id}/authenticate",
 		"POST /v1/attest",
@@ -226,9 +225,9 @@ func TestAPIDocCoversEndpoints(t *testing.T) {
 			t.Errorf("API.md does not document %q", ep)
 		}
 	}
-	// The SSE resume protocol and the cache marker must be covered.
+	// The resume cursor form and the cache marker must be covered.
 	for _, needle := range []string{
-		"?after=", `"cached": true`, "text/event-stream",
+		"?after=", `"cached": true`,
 		// The binary stream: content type, the shell-client handshake form,
 		// and the degradation metrics must all be covered.
 		"application/x-divot-stream", "link:seq", "divot_stream_dropped_total",

@@ -14,19 +14,13 @@
 // daemon converts engine types into them at the boundary (EventFromTelemetry,
 // LinkHealthViews) and the client re-exports them by alias.
 //
-// Streaming: GET /v1/links/{id}/events is server-sent events. Each frame is
-//
-//	id: <seq>
-//	event: <kind>
-//	data: <Event JSON>
-//
-// with ": hb" comment lines as heartbeats. Sequence numbers are per-link,
-// start at 1, and are strictly monotonic for the daemon's lifetime; a client
-// resumes after a disconnect with ?after=<last seen seq>. Events older than
+// Streaming: GET /v1/stream carries Events in internal/wire's binary frames,
+// many links over one connection. Sequence numbers are per-link, start at 1,
+// and are strictly monotonic for the daemon's lifetime; a client resumes
+// after a disconnect by naming each link's last seen seq. Events older than
 // the daemon's per-link retention ring cannot be replayed — a resume past the
-// ring's tail is answered from the oldest retained event, and the SDK
-// surfaces that discontinuity as a typed error (client.ResumeGapError)
-// instead of delivering across the hole.
+// ring's tail draws a gap frame, and the SDK surfaces that discontinuity as a
+// typed error (client.ResumeGapError) instead of delivering across the hole.
 package attest
 
 import (
@@ -116,7 +110,7 @@ type HistoryResponse struct {
 }
 
 // Event is one bus-affecting protocol event, as retained in the daemon's
-// per-link history and streamed over GET /v1/links/{id}/events.
+// per-link history and streamed over GET /v1/stream.
 type Event struct {
 	// Seq is the per-link sequence number (1-based, strictly monotonic);
 	// the stream resume protocol keys on it.

@@ -65,9 +65,8 @@ type Daemon struct {
 	cacheMiss  *telemetry.CounterVec
 	storeErrs  *telemetry.CounterVec
 
-	// Stream-subscriber accounting, shared by the binary /v1/stream and the
-	// legacy SSE per-link feeds: live subscriber count, and how the bounded
-	// per-subscriber queues degraded under overload.
+	// Stream-subscriber accounting for /v1/stream: live subscriber count,
+	// and how the bounded per-subscriber queues degraded under overload.
 	streamSubs      *telemetry.Gauge
 	streamCoalesced *telemetry.Counter
 	streamDropped   *telemetry.Counter
@@ -358,7 +357,7 @@ func newDaemon(spec Spec, cfg divot.Config, backend store.Backend) (*Daemon, err
 	d.storeErrs = d.reg.Counter("divot_store_errors_total",
 		"Durable-state operations that failed (by operation); the daemon keeps running.", "op")
 	d.streamSubs = d.reg.Gauge("divot_stream_subscribers",
-		"Live event-stream subscribers (binary /v1/stream and legacy SSE).").With()
+		"Live event-stream subscribers (binary /v1/stream).").With()
 	d.streamCoalesced = d.reg.Counter("divot_stream_coalesced_total",
 		"Periodic events folded into a fresher pending one on a full subscriber queue.").With()
 	d.streamDropped = d.reg.Counter("divot_stream_dropped_total",

@@ -1,17 +1,14 @@
 package daemon
 
-// The binary multiplexed stream and the legacy per-link SSE feed are two
-// transports for the same contract: every retained event, per link, in
-// sequence order, exactly once across the client's own reconnects. These
-// tests run the real SDK against the real daemon over both transports and
-// require the delivered feeds to be identical — the SSE path is forced by
-// fronting the daemon with a handler that answers /v1/stream with a bare
-// 404, exactly what a pre-stream daemon does, so the negotiation fallback
-// is exercised rather than stubbed.
+// The daemon encodes every event twice: as a binary frame on GET /v1/stream
+// and as JSON in the retention ring served by GET /v1/links/{id}/alerts.
+// These tests run the real SDK against the real daemon and require each
+// link's stream deliveries — replay, live events and a forced mid-stream
+// reconnect — to equal that link's JSON ring field for field, so the two
+// encoders cannot drift and the exactly-once contract holds end to end.
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -20,18 +17,6 @@ import (
 	client "divot/client"
 	"divot/internal/telemetry"
 )
-
-// legacyFront wraps a daemon handler so it looks like a daemon that predates
-// the binary stream: /v1/stream is a bare 404, everything else passes through.
-func legacyFront(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			http.NotFound(w, r)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
-}
 
 // drainMulti reads events off mw until every link in want has yielded its
 // expected count, failing on a stalled feed or an early close.
@@ -58,147 +43,112 @@ func drainMulti(t *testing.T, mw *client.MultiWatch, want map[string]int) map[st
 	return got
 }
 
-// eventKey projects the fields both transports must agree on. (The binary
-// frame carries the same fields as the SSE JSON; comparing whole structs
-// keeps the two encoders honest.)
-func normalize(evs []client.Event) []client.Event {
-	out := make([]client.Event, len(evs))
-	copy(out, evs)
-	return out
+// equivKinds cycles every recorded event through three kinds with distinct
+// optional fields, so a kind filter has something to drop and every field of
+// the frame codec is exercised.
+var equivKinds = []telemetry.EventKind{telemetry.EventAlert, telemetry.EventGate, telemetry.EventHealth}
+
+// recordEquiv records round i's event on ls.
+func recordEquiv(ls *linkState, i int) {
+	ev := telemetry.Event{Kind: equivKinds[i%len(equivKinds)], Link: ls.id, Side: "cpu", Round: uint64(i)}
+	switch ev.Kind {
+	case telemetry.EventAlert:
+		ev.Score, ev.To, ev.Detail = 0.25+float64(i)/64, "auth-failure", "round score below threshold"
+	case telemetry.EventGate:
+		ev.From, ev.To = "open", "closed"
+	default:
+		ev.Side, ev.From, ev.To = "module", "ok", "degraded"
+	}
+	ls.record(ev)
 }
 
-func TestBinaryAndSSEWatchersSeeIdenticalFeeds(t *testing.T) {
-	d := newTestDaemon(t, `{
-		"seed": 31, "listen": "127.0.0.1:0",
-		"buses": [{"id": "a"}, {"id": "b"}]
-	}`)
-	la, lb := d.byID["a"], d.byID["b"]
-
-	// Retained history before anyone subscribes: the replay window.
-	for i := 1; i <= 5; i++ {
-		la.record(telemetry.Event{Kind: telemetry.EventAlert, Link: "a", Round: uint64(i)})
-		lb.record(telemetry.Event{Kind: telemetry.EventGate, Link: "b", Round: uint64(i)})
-	}
-
-	srvBin := httptest.NewServer(d.Handler())
-	defer srvBin.Close()
-	srvSSE := httptest.NewServer(legacyFront(d.Handler()))
-	defer srvSSE.Close()
-
-	retry := client.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	cBin, err := client.New(srvBin.URL, client.WithRetryPolicy(retry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cSSE, err := client.New(srvSSE.URL, client.WithRetryPolicy(retry))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := client.WatchOptions{Links: []string{"a", "b"}, Buffer: 64}
-	mwBin, err := cBin.WatchMulti(ctx, opts)
-	if err != nil {
-		t.Fatalf("binary WatchMulti: %v", err)
-	}
-	defer mwBin.Close()
-	mwSSE, err := cSSE.WatchMulti(ctx, opts)
-	if err != nil {
-		t.Fatalf("legacy WatchMulti: %v", err)
-	}
-	defer mwSSE.Close()
-
-	// Phase 1: replay + a burst of live events.
-	for i := 6; i <= 9; i++ {
-		la.record(telemetry.Event{Kind: telemetry.EventAlert, Link: "a", Round: uint64(i)})
-		lb.record(telemetry.Event{Kind: telemetry.EventGate, Link: "b", Round: uint64(i)})
-	}
-	gotBin := drainMulti(t, mwBin, map[string]int{"a": 9, "b": 9})
-	gotSSE := drainMulti(t, mwSSE, map[string]int{"a": 9, "b": 9})
-
-	// Phase 2: tear every TCP connection down mid-stream. Both watchers must
-	// reconnect with their cursors and pick up exactly where they left off —
-	// no duplicates, no silent skip — including events recorded while down.
-	srvBin.CloseClientConnections()
-	srvSSE.CloseClientConnections()
-	for i := 10; i <= 13; i++ {
-		la.record(telemetry.Event{Kind: telemetry.EventAlert, Link: "a", Round: uint64(i)})
-		lb.record(telemetry.Event{Kind: telemetry.EventGate, Link: "b", Round: uint64(i)})
-	}
-	for link, evs := range drainMulti(t, mwBin, map[string]int{"a": 4, "b": 4}) {
-		gotBin[link] = append(gotBin[link], evs...)
-	}
-	for link, evs := range drainMulti(t, mwSSE, map[string]int{"a": 4, "b": 4}) {
-		gotSSE[link] = append(gotSSE[link], evs...)
-	}
-
-	for _, link := range []string{"a", "b"} {
-		bin, sse := normalize(gotBin[link]), normalize(gotSSE[link])
-		if !reflect.DeepEqual(bin, sse) {
-			t.Fatalf("link %s: binary and SSE feeds differ:\n binary: %v\n    sse: %v", link, bin, sse)
-		}
-		for i, ev := range bin {
-			if want := uint64(i + 1); ev.Seq != want {
-				t.Fatalf("link %s event %d: seq = %d, want %d (exactly-once violated)", link, i, ev.Seq, want)
+func TestStreamFeedMatchesAlertRing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kinds []string
+	}{
+		{"unfiltered", nil},
+		{"kinds", []string{"alert", "health"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestDaemon(t, `{
+				"seed": 31, "listen": "127.0.0.1:0",
+				"buses": [{"id": "a"}, {"id": "b"}]
+			}`)
+			links := []*linkState{d.byID["a"], d.byID["b"]}
+			// per is how many of n recorded rounds a link's subscription sees.
+			per := func(n int) int {
+				if tc.kinds == nil {
+					return n
+				}
+				return n - n/len(equivKinds) // every third round is a dropped gate
 			}
-		}
-	}
-	if la.events.Published() != 13 || lb.events.Published() != 13 {
-		t.Fatalf("published = %d/%d, want 13/13", la.events.Published(), lb.events.Published())
-	}
-}
 
-func TestKindFilterEquivalentAcrossTransports(t *testing.T) {
-	d := newTestDaemon(t, `{
-		"seed": 32, "listen": "127.0.0.1:0",
-		"buses": [{"id": "a"}]
-	}`)
-	ls := d.byID["a"]
-	kinds := []telemetry.EventKind{
-		telemetry.EventAlert, telemetry.EventGate, telemetry.EventAlert,
-		telemetry.EventHealth, telemetry.EventGate, telemetry.EventAlert,
-	}
-	for i, k := range kinds {
-		ls.record(telemetry.Event{Kind: k, Link: "a", Round: uint64(i + 1)})
-	}
+			// Retained history before anyone subscribes: the replay window.
+			round := 0
+			recordRounds := func(n int) {
+				for i := 0; i < n; i++ {
+					round++
+					for _, ls := range links {
+						recordEquiv(ls, round)
+					}
+				}
+			}
+			recordRounds(6)
 
-	srvBin := httptest.NewServer(d.Handler())
-	defer srvBin.Close()
-	srvSSE := httptest.NewServer(legacyFront(d.Handler()))
-	defer srvSSE.Close()
+			srv := httptest.NewServer(d.Handler())
+			defer srv.Close()
+			retry := client.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+			c, err := client.New(srv.URL, client.WithRetryPolicy(retry))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			mw, err := c.WatchMulti(ctx, client.WatchOptions{
+				Links: []string{"a", "b"}, Kinds: tc.kinds, Buffer: 64,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mw.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := client.WatchOptions{Links: []string{"a"}, Kinds: []string{"alert"}, Buffer: 16}
+			// Phase 1: replay plus a burst of live events.
+			recordRounds(3)
+			got := drainMulti(t, mw, map[string]int{"a": per(9), "b": per(9)})
 
-	var feeds []map[string][]client.Event
-	for _, base := range []string{srvBin.URL, srvSSE.URL} {
-		c, err := client.New(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mw, err := c.WatchMulti(ctx, opts)
-		if err != nil {
-			t.Fatalf("WatchMulti(%s): %v", base, err)
-		}
-		feeds = append(feeds, drainMulti(t, mw, map[string]int{"a": 3}))
-		mw.Close()
-	}
-	// The binary stream filters server-side, SSE filters in the client —
-	// the surviving events (and their original seqs) must be identical.
-	if !reflect.DeepEqual(feeds[0]["a"], feeds[1]["a"]) {
-		t.Fatalf("kind-filtered feeds differ:\n binary: %v\n    sse: %v", feeds[0]["a"], feeds[1]["a"])
-	}
-	for i, ev := range feeds[0]["a"] {
-		if ev.Kind != "alert" {
-			t.Fatalf("event %d kind = %q, want alert", i, ev.Kind)
-		}
-	}
-	wantSeqs := []uint64{1, 3, 6}
-	for i, ev := range feeds[0]["a"] {
-		if ev.Seq != wantSeqs[i] {
-			t.Fatalf("filtered event %d seq = %d, want %d", i, ev.Seq, wantSeqs[i])
-		}
+			// Phase 2: tear every TCP connection down mid-stream. The watch
+			// must reconnect with its cursors and pick up exactly where it
+			// left off — no duplicates, no silent skip — including events
+			// recorded while it was down.
+			srv.CloseClientConnections()
+			recordRounds(3)
+			for link, evs := range drainMulti(t, mw, map[string]int{"a": per(12) - per(9), "b": per(12) - per(9)}) {
+				got[link] = append(got[link], evs...)
+			}
+
+			keep := map[string]bool{}
+			for _, k := range tc.kinds {
+				keep[k] = true
+			}
+			for _, ls := range links {
+				ring, err := c.Alerts(ctx, ls.id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ring[:0:0]
+				for _, ev := range ring {
+					if tc.kinds == nil || keep[ev.Kind] {
+						want = append(want, ev)
+					}
+				}
+				if !reflect.DeepEqual(got[ls.id], want) {
+					t.Fatalf("link %s: stream and JSON ring differ:\n stream: %v\n   ring: %v", ls.id, got[ls.id], want)
+				}
+				if ls.events.Published() != 12 {
+					t.Fatalf("link %s published %d events, want 12", ls.id, ls.events.Published())
+				}
+			}
+		})
 	}
 }

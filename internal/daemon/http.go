@@ -38,7 +38,6 @@ func (d *Daemon) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/links", d.handleLinks)
 	mux.HandleFunc("GET /v1/links/{id}/alerts", d.handleAlerts)
 	mux.HandleFunc("GET /v1/links/{id}/history", d.handleHistory)
-	mux.HandleFunc("GET /v1/links/{id}/events", d.handleEvents)
 	mux.HandleFunc("GET /v1/stream", d.handleStream)
 	mux.HandleFunc("POST /v1/links/{id}/authenticate", d.handleAuthenticate)
 	mux.HandleFunc("POST /v1/attest", d.handleAttest)
@@ -184,6 +183,45 @@ func (d *Daemon) handleAuthenticate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	attest.WriteData(w, http.StatusOK, d.attestOne(ls))
+}
+
+// handleAttest serves batch remote attestation: one read-only spot check per
+// requested bus (every bus when the request names none), serialized with
+// each bus's scheduler. The results come back in request order — fleet id
+// order for the whole-fleet form — so retries of the same request are
+// byte-comparable.
+func (d *Daemon) handleAttest(w http.ResponseWriter, r *http.Request) {
+	req, err := attest.ReadAttestRequest(r.Body)
+	if err != nil {
+		attest.WriteError(w, attest.CodeBadRequest, "parsing attest request: %v", err)
+		return
+	}
+	var targets []*linkState
+	if len(req.Links) == 0 {
+		targets = d.sortedLinks()
+	} else {
+		targets = make([]*linkState, 0, len(req.Links))
+		for _, id := range req.Links {
+			ls, ok := d.byID[id]
+			if !ok {
+				attest.WriteError(w, attest.CodeUnknownLink, "unknown bus %q", id)
+				return
+			}
+			targets = append(targets, ls)
+		}
+	}
+	resp := attest.AttestResponse{
+		Results:     make([]attest.AuthReport, 0, len(targets)),
+		AllAccepted: true,
+	}
+	for _, ls := range targets {
+		rep := d.attestOne(ls)
+		if !rep.Accepted {
+			resp.AllAccepted = false
+		}
+		resp.Results = append(resp.Results, rep)
+	}
+	attest.WriteData(w, http.StatusOK, resp)
 }
 
 // attestOne answers one bus's attestation. When the bus's cached last-round

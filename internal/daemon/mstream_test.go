@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -180,7 +181,7 @@ func TestStreamMultiplexedReplayFilterAndLive(t *testing.T) {
 	c.close()
 
 	// The query form selects the same subset.
-	c = openMulti(t, srv.URL, "links=victim&kinds=alert&after=victim:"+jsonNumber(after), "")
+	c = openMulti(t, srv.URL, "links=victim&kinds=alert&after=victim:"+strconv.FormatUint(after, 10), "")
 	if links := c.hello(t); len(links) != 1 || links[0] != "victim" {
 		t.Fatalf("query-form hello links = %v", links)
 	}
@@ -279,16 +280,19 @@ func TestStreamGapAndShutdownFrames(t *testing.T) {
 	defer srv2.Close()
 	c2 := openMulti(t, srv2.URL, "links=b&after=b:1", "")
 	c2.hello(t)
-	typ, _, err = c2.rd.Next()
+	typ, payload, err = c2.rd.Next()
 	if err != nil || typ != wire.FrameEvent {
 		t.Fatalf("in-window resume got frame %v (%v), want event", typ, err)
+	}
+	if ev, err := wire.DecodeEvent(payload); err != nil || ev.Seq != 2 {
+		t.Fatalf("in-window resume delivered %+v (%v), want seq 2", ev, err)
 	}
 	c2.close()
 }
 
 // TestStreamMetricsEndToEnd asserts the stream accounting metrics on
-// /metrics: the subscriber gauge tracks open binary and SSE streams, and the
-// coalesce/drop counter families are exported.
+// /metrics: the subscriber gauge tracks open streams, and the coalesce/drop
+// counter families are exported.
 func TestStreamMetricsEndToEnd(t *testing.T) {
 	d := newTestDaemon(t, `{
 		"seed": 7, "listen": "127.0.0.1:0",
@@ -332,12 +336,13 @@ func TestStreamMetricsEndToEnd(t *testing.T) {
 	}
 	waitGauge("0")
 
-	bin := openMulti(t, srv.URL, "links=a", "")
-	bin.hello(t)
+	first := openMulti(t, srv.URL, "links=a", "")
+	first.hello(t)
 	waitGauge("1")
-	sse := openStream(t, srv.URL, "a", 0)
+	second := openMulti(t, srv.URL, "", "")
+	second.hello(t)
 	waitGauge("2")
-	bin.close()
-	sse.close()
+	first.close()
+	second.close()
 	waitGauge("0")
 }

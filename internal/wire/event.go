@@ -23,7 +23,7 @@ import (
 //	to      uvarint + bytes flagTo
 //	detail  uvarint + bytes flagDetail
 //
-// A round/alert event encodes in ~20-60 bytes against ~120-200 as SSE JSON,
+// A round/alert event encodes in ~20-60 bytes against ~120-200 as JSON,
 // and decoding is a straight scan with no reflection.
 const (
 	flagRound  = 1 << 0

@@ -2,11 +2,11 @@
 // compact length-prefixed, versioned frame format for telemetry events,
 // spoken on GET /v1/stream by divotd (and fanned out by divotherd). It is
 // versioned alongside internal/attest's v1 JSON envelope — Version here moves
-// in lockstep with attest.Version — and exists because the SSE feed
-// (JSON-over-HTTP, one connection per link) is the wrong shape for thousands
-// of watchers over a large federation: one multiplexed connection carries
-// many links, resumes each independently, and spends a handful of bytes per
-// event instead of a JSON object.
+// in lockstep with attest.Version. It is binary and multiplexed because
+// JSON-over-HTTP with one connection per link is the wrong shape for
+// thousands of watchers over a large federation: one multiplexed connection
+// carries many links, resumes each independently, and spends a handful of
+// bytes per event instead of a JSON object.
 //
 // # Frame layout
 //
@@ -55,7 +55,7 @@ const (
 	FrameHello FrameType = 1
 	// FrameEvent carries one telemetry event in the binary encoding.
 	FrameEvent FrameType = 2
-	// FrameHeartbeat is an empty keep-alive, the binary twin of SSE's ": hb".
+	// FrameHeartbeat is an empty keep-alive sent on a fixed interval.
 	FrameHeartbeat FrameType = 3
 	// FrameGap reports a broken per-link resume (JSON Gap payload): the
 	// subscriber asked to continue past a sequence number the server's

@@ -9,10 +9,10 @@
 # kills one mid-fleet, and requires honest partial-failure reporting followed
 # by a re-balanced fleet-wide attest; phase 5 SIGKILLs a stateful daemon
 # mid-flight and requires a calibration-free warm restart with its history
-# and audit trail intact; phase 6 attaches binary multi-link and legacy SSE
-# watchers to a 1000-bus fleet, restarts the daemon both ways (SIGTERM and
-# SIGKILL), and requires resume to be exact after the graceful stop and an
-# honest, typed resume-gap — never a silent skip — after the crash.
+# and audit trail intact; phase 6 attaches binary multi-link watchers to a
+# 1000-bus fleet, restarts the daemon both ways (SIGTERM and SIGKILL), and
+# requires resume to be exact after the graceful stop and an honest, typed
+# resume-gap — never a silent skip — after the crash.
 # Used by CI's "daemon smoke" step; runnable locally as scripts/daemon_smoke.sh.
 set -euo pipefail
 
@@ -395,10 +395,10 @@ echo "ok: crash-restart durability"
 # Phase 6: event streaming at scale, across restarts. The phase-3 state
 # directory warm-restores the 1000 clean buses in seconds; two attacked buses
 # on a fast monitoring interval provide a continuous event feed (a tampered
-# round emits an alert every round). A binary multi-link watcher (divotctl
-# negotiates GET /v1/stream) and a legacy SSE watcher (curl) both follow the
-# feed; a graceful restart must resume a cursor exactly, and a SIGKILL must
-# surface as a typed resume gap — the stream protocol never skips silently.
+# round emits an alert every round). divotctl watchers follow the feed over
+# GET /v1/stream; a graceful restart must resume a cursor exactly, and a
+# SIGKILL must surface as a typed resume gap — the stream protocol never
+# skips silently.
 cat > "$workdir/fleet1000s.json" <<'EOF'
 {
   "seed": 5,
@@ -447,13 +447,6 @@ for attempt in 1 2 3; do
   fi
 done
 echo "ok: binary multi-link watch carries both victims"
-
-# Legacy SSE watcher on the same daemon: the old route still serves.
-timeout 30 bash -c \
-  "curl -sN http://127.0.0.1:9726/v1/links/victimA/events | grep -m1 '^data:'" \
-  > "$workdir/sse6.out"
-test -s "$workdir/sse6.out"
-echo "ok: legacy SSE watch still streams"
 
 # Graceful restart: a watcher follows victimB to the shutdown frame, so its
 # last seq IS the persisted stream cursor; after the restart, resuming past
@@ -511,18 +504,6 @@ else
 fi
 grep -q 'resume gap' "$workdir/gap6.err"
 echo "ok: crash resume surfaced a typed gap: $(head -1 "$workdir/gap6.err")"
-
-# The legacy SSE route agrees: resuming the stale cursor jumps visibly (the
-# SDK turns exactly this jump into ResumeGapError) instead of renumbering.
-timeout 30 bash -c \
-  "curl -sN 'http://127.0.0.1:9726/v1/links/victimA/events?after=$seqA' | grep -m1 '^data:'" \
-  > "$workdir/sse6b.out"
-sseSeq=$(grep -o '"seq":[0-9]*' "$workdir/sse6b.out" | grep -o '[0-9]*')
-if [ -z "$sseSeq" ] || [ "$sseSeq" -le "$((seqA + 1))" ]; then
-  echo "SSE resume after crash shows seq $sseSeq — the sequence space was not re-seeded" >&2
-  exit 1
-fi
-echo "ok: SSE resume shows the honest jump ($seqA -> $sseSeq)"
 
 # A fresh watch (no cursor claim) streams fine after the crash.
 timeout 120 $ctl6 -max 2 watch victimA victimB > /dev/null

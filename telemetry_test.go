@@ -20,7 +20,11 @@ func auditAll(t *testing.T, parallelism, rounds int) []byte {
 	audit := NewAuditLog(&buf)
 	sys.SetSink(audit)
 	for _, id := range []string{"dimm0", "dimm1", "dimm2"} {
-		if err := sys.MustNewLink(id).Calibrate(); err != nil {
+		l, err := sys.NewLink(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Calibrate(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,13 +66,19 @@ func TestAuditLogBitIdenticalAcrossParallelism(t *testing.T) {
 
 func TestSetSinkWiresExistingAndFutureBuses(t *testing.T) {
 	sys := NewSystem(5, DefaultConfig())
-	before := sys.MustNewLink("pre")
+	before, err := sys.NewLink("pre")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := &TelemetryRecorder{}
 	sys.SetSink(rec)
 	if sys.Sink() != TelemetrySink(rec) {
 		t.Fatal("Sink() should return the attached sink")
 	}
-	after := sys.MustNewLink("post")
+	after, err := sys.NewLink("post")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, l := range []*Link{before, after} {
 		if err := l.Calibrate(); err != nil {
 			t.Fatal(err)
